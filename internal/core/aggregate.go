@@ -31,13 +31,9 @@ func (s *Session) SumLessThan(pairs []Pair, c float64) bool {
 		}
 	}
 	for {
-		if ubSum < c {
-			s.noteSaved()
-			return true
-		}
-		if lbSum >= c {
-			s.noteSaved()
-			return false
+		if r, settled, _ := (Interval{lbSum, ubSum}).LessThan(c); settled {
+			s.settled(false)
+			return r
 		}
 		if len(open) == 0 {
 			// Fully resolved and still straddling: impossible (lb==ub for
@@ -92,13 +88,9 @@ func (s *Session) SumLess(left, right []Pair) bool {
 	add(left, 1)
 	add(right, -1)
 	for {
-		if hi < 0 {
-			s.noteSaved()
-			return true
-		}
-		if lo >= 0 {
-			s.noteSaved()
-			return false
+		if r, settled, _ := (Interval{lo, hi}).LessThan(0); settled {
+			s.settled(false)
+			return r
 		}
 		if len(open) == 0 {
 			return lo < 0

@@ -75,93 +75,108 @@ func (s *Session) noteOracleErr(err error) {
 	}
 }
 
-// estimate returns the midpoint of the current bounds for (i, j) — the
-// best-effort value the legacy methods fall back to when a resolution
-// fails. Estimates are never committed to the graph or the bound scheme,
-// so they cannot poison later exact answers.
-func (s *Session) estimate(i, j int) float64 {
-	lb, ub := s.Bounds(i, j)
+// degraded is the Session's failure hook for its Degrader.
+func (s *Session) degraded(err error) {
+	s.noteOracleErr(err)
+	s.ins.DegradedAnswers.Inc()
+}
+
+// Degrader is the one degrade adapter. Every FallibleView implementation
+// — Session, SharedSession and the remote mirror in internal/proxclient —
+// derives its never-failing methods (Dist, Less, LessOutcome, LessThan,
+// DistIfLess) from its *Err primitives through one, so "degraded" means
+// the same everywhere: a failed primitive's error is latched as OracleErr
+// (and, in-process, counted as a DegradedAnswer), and the answer comes
+// from the midpoints of the pairs' current bounds — an estimate handed to
+// the caller only, never committed to a graph, bound scheme or cache. A
+// primitive that succeeded passes through unchanged. (The "degraded"
+// trace event of an in-process comparison is recorded by its primitive's
+// tail, which knows the gap and the time spent.)
+type Degrader struct {
+	bounds func(i, j int) (lb, ub float64)
+	fail   func(err error)
+}
+
+// NewDegrader builds a view's adapter from its bounds — read without any
+// oracle call or round-trip — and its failure hook, which latches the
+// error as OracleErr and counts the degraded answer where the view keeps
+// counters.
+func NewDegrader(bounds func(i, j int) (lb, ub float64), fail func(err error)) Degrader {
+	return Degrader{bounds: bounds, fail: fail}
+}
+
+// estimate returns the midpoint of the current bounds for (i, j).
+func (g Degrader) estimate(i, j int) float64 {
+	lb, ub := g.bounds(i, j)
 	return (lb + ub) / 2
+}
+
+// fallback hands err to the failure hook and returns the estimate for
+// (i, j). The methods below call it only on failure, which keeps their
+// success path small enough to inline.
+func (g Degrader) fallback(err error, i, j int) float64 {
+	g.fail(err)
+	return g.estimate(i, j)
+}
+
+// Dist answers Dist from DistErr's result for (i, j).
+func (g Degrader) Dist(d float64, err error, i, j int) float64 {
+	if err != nil {
+		return g.fallback(err, i, j)
+	}
+	return d
+}
+
+// Less answers LessOutcome from the Less primitive's result for
+// dist(i,j) < dist(k,l); a degraded answer is OutcomeUnavailable.
+func (g Degrader) Less(r bool, out Outcome, err error, i, j, k, l int) (bool, Outcome) {
+	if err != nil {
+		return g.fallback(err, i, j) < g.estimate(k, l), OutcomeUnavailable
+	}
+	return r, out
+}
+
+// LessThan answers LessThan from LessThanErr's result for dist(i,j) < c.
+func (g Degrader) LessThan(r bool, err error, i, j int, c float64) bool {
+	if err != nil {
+		return g.fallback(err, i, j) < c
+	}
+	return r
+}
+
+// DistIfLess answers DistIfLess from DistIfLessErr's result for
+// dist(i,j) < c; a degraded answer returns the estimate as the value.
+func (g Degrader) DistIfLess(d float64, less bool, err error, i, j int, c float64) (float64, bool) {
+	if err != nil {
+		e := g.fallback(err, i, j)
+		return e, e < c
+	}
+	return d, less
 }
 
 // LessErr is Less with error propagation: it reports dist(i,j) <
 // dist(k,l), or a non-nil error wrapping ErrOracleUnavailable when the
 // bounds were inconclusive and a needed resolution failed.
 func (s *Session) LessErr(i, j, k, l int) (bool, error) {
-	r, out, gap := s.decideLess(i, j, k, l)
-	if out != OutcomeUndecided {
-		return r, nil
-	}
-	t0 := s.traceStart()
-	d1, err := s.DistErr(i, j)
-	var d2 float64
-	if err == nil {
-		d2, err = s.DistErr(k, l)
-	}
-	lat := s.traceSince(t0)
-	if err != nil {
-		s.traceCmp(obs.OpLess, i, j, k, l, obs.OutcomeError, gap, lat)
-		return false, err
-	}
-	s.traceCmp(obs.OpLess, i, j, k, l, obs.OutcomeOracle, gap, lat)
-	return d1 < d2, nil
+	r, _, err := s.less(noLock{}, s, obs.OutcomeError, i, j, k, l)
+	return r, err
 }
 
 // LessOutcome is Less plus a per-call outcome report. Unlike LessErr it
-// never fails: when a needed resolution errors it answers from bounds
-// midpoints and reports OutcomeUnavailable (counting a DegradedAnswer),
-// which is exactly the legacy Less behaviour made observable.
+// never fails: when a needed resolution errors it answers through the
+// Degrader and reports OutcomeUnavailable, which is exactly the legacy
+// Less behaviour made observable.
 func (s *Session) LessOutcome(i, j, k, l int) (result bool, out Outcome) {
-	r, out, gap := s.decideLess(i, j, k, l)
-	if out != OutcomeUndecided {
-		return r, out
-	}
-	t0 := s.traceStart()
-	d1, err := s.DistErr(i, j)
-	var d2 float64
-	if err == nil {
-		d2, err = s.DistErr(k, l)
-	}
-	lat := s.traceSince(t0)
-	if err == nil {
-		s.traceCmp(obs.OpLess, i, j, k, l, obs.OutcomeOracle, gap, lat)
-		return d1 < d2, OutcomeExact
-	}
-	s.ins.DegradedAnswers.Inc()
-	s.traceCmp(obs.OpLess, i, j, k, l, obs.OutcomeDegraded, gap, lat)
-	return s.estimate(i, j) < s.estimate(k, l), OutcomeUnavailable
+	r, out, err := s.less(noLock{}, s, obs.OutcomeDegraded, i, j, k, l)
+	return s.deg.Less(r, out, err, i, j, k, l)
 }
 
 // LessThanErr is LessThan with error propagation; see LessErr.
 func (s *Session) LessThanErr(i, j int, c float64) (bool, error) {
-	r, out, gap := s.decideLessThan(i, j, c)
-	if out != OutcomeUndecided {
-		return r, nil
-	}
-	t0 := s.traceStart()
-	d, err := s.DistErr(i, j)
-	lat := s.traceSince(t0)
-	if err != nil {
-		s.traceCmp(obs.OpLessThan, i, j, -1, -1, obs.OutcomeError, gap, lat)
-		return false, err
-	}
-	s.traceCmp(obs.OpLessThan, i, j, -1, -1, obs.OutcomeOracle, gap, lat)
-	return d < c, nil
+	return s.lessThan(noLock{}, s, obs.OutcomeError, i, j, c)
 }
 
 // DistIfLessErr is DistIfLess with error propagation; see LessErr.
 func (s *Session) DistIfLessErr(i, j int, c float64) (float64, bool, error) {
-	d, less, out, gap := s.decideDistIfLess(i, j, c)
-	if out != OutcomeUndecided {
-		return d, less, nil
-	}
-	t0 := s.traceStart()
-	d, err := s.DistErr(i, j)
-	lat := s.traceSince(t0)
-	if err != nil {
-		s.traceCmp(obs.OpDistIfLess, i, j, -1, -1, obs.OutcomeError, gap, lat)
-		return 0, false, err
-	}
-	s.traceCmp(obs.OpDistIfLess, i, j, -1, -1, obs.OutcomeOracle, gap, lat)
-	return d, d < c, nil
+	return s.distIfLess(noLock{}, s, obs.OutcomeError, i, j, c)
 }

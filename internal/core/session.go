@@ -100,7 +100,6 @@ type Session struct {
 	b       bounds.Bounder
 	cmp     bounds.Comparator
 	maxDist float64
-	rho     float64 // relaxation factor; 0 or 1 = true metric
 
 	// ins holds the metric instrument handles every counter of this
 	// session records into (the replacement for the ad-hoc Stats counter
@@ -144,6 +143,9 @@ type Session struct {
 	// set, answers produced by the legacy infallible methods may be
 	// best-effort estimates rather than exact.
 	oracleErr error
+
+	// deg derives the legacy infallible methods from the *Err ones.
+	deg Degrader
 
 	// sharesGraph records whether b reads s.g directly (SPLUB/Tri), in
 	// which case AddEdge already updated it and Update must not be
@@ -268,18 +270,6 @@ func (s *Session) traceSince(t0 time.Time) time.Duration {
 	return time.Since(t0)
 }
 
-// WithRelaxation declares the oracle a ρ-relaxed metric (d(x,z) ≤
-// ρ·(d(x,y)+d(y,z)), e.g. squared Euclidean with ρ = 2 — see
-// metric.Power). Only SchemeNoop and SchemeTri support ρ > 1; the other
-// schemes' soundness arguments assume a true metric and NewSession panics
-// if they are combined with a relaxation.
-func WithRelaxation(rho float64) Option {
-	if rho < 1 {
-		panic("core: relaxation factor must be at least 1")
-	}
-	return func(s *Session) { s.rho = rho }
-}
-
 // Scheme selects a bound scheme for NewSession.
 type Scheme int
 
@@ -363,10 +353,9 @@ func NewFallibleSessionWithLandmarks(fo metric.FallibleOracle, scheme Scheme, la
 	for _, o := range opts {
 		o(s)
 	}
-	if s.rho > 1 && scheme != SchemeNoop && scheme != SchemeTri {
-		panic(fmt.Sprintf("core: scheme %v does not support relaxed metrics", scheme))
+	if err := s.slack.validate(scheme, s.cmp != nil); err != nil {
+		panic(err)
 	}
-	validateSlackScheme(s.slack, scheme, s.cmp != nil)
 	if s.slack.Auto && s.auditor == nil {
 		// Auto slack needs a margin source; give the session its own
 		// auditor when the caller did not share one.
@@ -379,11 +368,9 @@ func NewFallibleSessionWithLandmarks(fo metric.FallibleOracle, scheme Scheme, la
 		s.b = bounds.NewSPLUB(s.g, s.maxDist)
 		s.sharesGraph = true
 	case SchemeTri:
-		rho := s.rho
-		if rho < 1 {
-			rho = 1
-		}
-		s.b = bounds.NewTriRelaxed(s.g, s.maxDist, rho)
+		// Ratio slack is a ρ-relaxed metric declaration; Tri's relaxation
+		// machinery widens the intervals (Ratio 0 or 1 means none).
+		s.b = bounds.NewTriRelaxed(s.g, s.maxDist, math.Max(1, s.slack.Ratio))
 		s.sharesGraph = true
 	case SchemeADM:
 		s.b = bounds.NewADM(n, s.maxDist)
@@ -425,6 +412,7 @@ func NewFallibleSessionWithLandmarks(fo metric.FallibleOracle, scheme Scheme, la
 	if s.slackAdditive() {
 		s.ins.SlackEps.Set(s.slackEps())
 	}
+	s.deg = NewDegrader(s.Bounds, s.degraded)
 	return s
 }
 
@@ -476,18 +464,15 @@ func (s *Session) Known(i, j int) (float64, bool) { return s.g.Weight(i, j) }
 // bound scheme (the UPDATE PROBLEM).
 //
 // If the resolution fails (fallible oracle exhausted, breaker open, or
-// session context dead), Dist degrades: it latches OracleErr, counts a
-// DegradedAnswer, and returns the midpoint of the current bounds as a
-// best-effort estimate. The estimate is never committed to the graph or
-// the bound scheme, so the session's soundness invariants survive; use
-// DistErr when the caller needs to distinguish exact from estimated.
+// session context dead), Dist degrades through the Degrader: it latches
+// OracleErr, counts a DegradedAnswer, and returns the midpoint of the
+// current bounds as a best-effort estimate. The estimate is never
+// committed to the graph or the bound scheme, so the session's soundness
+// invariants survive; use DistErr when the caller needs to distinguish
+// exact from estimated.
 func (s *Session) Dist(i, j int) float64 {
 	d, err := s.DistErr(i, j)
-	if err != nil {
-		s.ins.DegradedAnswers.Inc()
-		return s.estimate(i, j)
-	}
-	return d
+	return s.deg.Dist(d, err, i, j)
 }
 
 // DistErr is Dist with error propagation: it returns the exact distance,
@@ -579,6 +564,15 @@ func (s *Session) Bounds(i, j int) (lb, ub float64) {
 	if w, ok := s.g.Weight(i, j); ok {
 		return w, w
 	}
+	// Assigned rather than returned as a tuple: slackescape follows a
+	// relaxed value only through individual float results.
+	lb, ub = s.derived(i, j)
+	return lb, ub
+}
+
+// derived returns the bound scheme's interval for an unresolved pair,
+// counting one probe and widening it by any additive slack.
+func (s *Session) derived(i, j int) (lb, ub float64) {
 	s.ins.BoundProbes.Inc()
 	lb, ub = s.b.Bounds(i, j)
 	if s.slackAdditive() {
@@ -646,121 +640,12 @@ func (s *Session) Less(i, j, k, l int) bool {
 	return r
 }
 
-// noteSaved counts a comparison settled from bounds (or the comparator)
-// with no oracle call. While the fallible oracle reports itself
-// unavailable (circuit breaker open), such answers also count as
-// DegradedAnswers: they are still exact — bounds are sound — but they are
-// the only answers the session can currently produce exactly.
-func (s *Session) noteSaved() {
-	s.ins.SavedComparisons.Inc()
-	if s.ready != nil && !s.ready() {
-		s.ins.DegradedAnswers.Inc()
-	}
-}
-
-// decideLess attempts to settle dist(i,j) < dist(k,l) from cached
-// distances, interval bounds, and the comparator alone, updating
-// statistics and tracing the settled outcomes. OutcomeUndecided means
-// the caller must resolve both distances and compare; ResolvedComparisons
-// has already been counted in that case, and gap reports the width of the
-// bound-interval overlap that kept the comparison undecided (the "why did
-// we pay?" figure; 0 when settled). This is the bookkeeping half of Less,
-// callable under SharedSession's lock because it never touches the
-// oracle.
-func (s *Session) decideLess(i, j, k, l int) (result bool, out Outcome, gap float64) {
-	kn1, ok1 := s.Known(i, j)
-	kn2, ok2 := s.Known(k, l)
-	if ok1 && ok2 {
-		s.ins.CacheHits.Inc()
-		s.traceCmp(obs.OpLess, i, j, k, l, obs.OutcomeCache, 0, 0)
-		return kn1 < kn2, OutcomeExact, 0
-	}
-	lb1, ub1 := s.Bounds(i, j)
-	lb2, ub2 := s.Bounds(k, l)
-	if ub1 < lb2 {
-		s.noteSaved()
-		out, oc := s.boundsOutcome()
-		s.traceCmp(obs.OpLess, i, j, k, l, oc, 0, 0)
-		return true, out, 0
-	}
-	if lb1 >= ub2 {
-		s.noteSaved()
-		out, oc := s.boundsOutcome()
-		s.traceCmp(obs.OpLess, i, j, k, l, oc, 0, 0)
-		return false, out, 0
-	}
-	if s.cmp != nil {
-		if s.cmp.ProveLess(i, j, k, l) {
-			s.noteSaved()
-			s.traceCmp(obs.OpLess, i, j, k, l, obs.OutcomeBounds, 0, 0)
-			return true, OutcomeBounds, 0
-		}
-		if s.cmp.ProveLess(k, l, i, j) {
-			// dist(k,l) < dist(i,j) implies not less.
-			s.noteSaved()
-			s.traceCmp(obs.OpLess, i, j, k, l, obs.OutcomeBounds, 0, 0)
-			return false, OutcomeBounds, 0
-		}
-	}
-	s.ins.ResolvedComparisons.Inc()
-	return false, OutcomeUndecided, math.Min(ub1, ub2) - math.Max(lb1, lb2)
-}
-
 // LessThan reports whether dist(i,j) < c, resolving the distance only when
 // the bounds are inconclusive. On a failed resolution it degrades exactly
 // like Less; use LessThanErr to observe failures.
 func (s *Session) LessThan(i, j int, c float64) bool {
-	r, out, gap := s.decideLessThan(i, j, c)
-	if out != OutcomeUndecided {
-		return r
-	}
-	t0 := s.traceStart()
-	d, err := s.DistErr(i, j)
-	lat := s.traceSince(t0)
-	if err != nil {
-		s.ins.DegradedAnswers.Inc()
-		s.traceCmp(obs.OpLessThan, i, j, -1, -1, obs.OutcomeDegraded, gap, lat)
-		return s.estimate(i, j) < c
-	}
-	s.traceCmp(obs.OpLessThan, i, j, -1, -1, obs.OutcomeOracle, gap, lat)
-	return d < c
-}
-
-// decideLessThan is the bookkeeping half of LessThan; see decideLess. An
-// undecided gap is the width of the bound interval straddling c.
-func (s *Session) decideLessThan(i, j int, c float64) (result bool, out Outcome, gap float64) {
-	if w, ok := s.Known(i, j); ok {
-		s.ins.CacheHits.Inc()
-		s.traceCmp(obs.OpLessThan, i, j, -1, -1, obs.OutcomeCache, 0, 0)
-		return w < c, OutcomeExact, 0
-	}
-	lb, ub := s.Bounds(i, j)
-	if ub < c {
-		s.noteSaved()
-		out, oc := s.boundsOutcome()
-		s.traceCmp(obs.OpLessThan, i, j, -1, -1, oc, 0, 0)
-		return true, out, 0
-	}
-	if lb >= c {
-		s.noteSaved()
-		out, oc := s.boundsOutcome()
-		s.traceCmp(obs.OpLessThan, i, j, -1, -1, oc, 0, 0)
-		return false, out, 0
-	}
-	if s.cmp != nil {
-		if s.cmp.ProveLessC(i, j, c) {
-			s.noteSaved()
-			s.traceCmp(obs.OpLessThan, i, j, -1, -1, obs.OutcomeBounds, 0, 0)
-			return true, OutcomeBounds, 0
-		}
-		if s.cmp.ProveGEC(i, j, c) {
-			s.noteSaved()
-			s.traceCmp(obs.OpLessThan, i, j, -1, -1, obs.OutcomeBounds, 0, 0)
-			return false, OutcomeBounds, 0
-		}
-	}
-	s.ins.ResolvedComparisons.Inc()
-	return false, OutcomeUndecided, ub - lb
+	r, err := s.lessThan(noLock{}, s, obs.OutcomeDegraded, i, j, c)
+	return s.deg.LessThan(r, err, i, j, c)
 }
 
 // DistIfLess is the value-needed variant of LessThan used by algorithms
@@ -771,52 +656,8 @@ func (s *Session) decideLessThan(i, j int, c float64) (result bool, out Outcome,
 // resolution it degrades like Dist (the returned value is an uncommitted
 // estimate); use DistIfLessErr to observe failures.
 func (s *Session) DistIfLess(i, j int, c float64) (float64, bool) {
-	d, less, out, gap := s.decideDistIfLess(i, j, c)
-	if out != OutcomeUndecided {
-		return d, less
-	}
-	t0 := s.traceStart()
-	d, err := s.DistErr(i, j)
-	lat := s.traceSince(t0)
-	if err != nil {
-		s.ins.DegradedAnswers.Inc()
-		s.traceCmp(obs.OpDistIfLess, i, j, -1, -1, obs.OutcomeDegraded, gap, lat)
-		e := s.estimate(i, j)
-		return e, e < c
-	}
-	s.traceCmp(obs.OpDistIfLess, i, j, -1, -1, obs.OutcomeOracle, gap, lat)
-	return d, d < c
-}
-
-// decideDistIfLess is the bookkeeping half of DistIfLess; see decideLess.
-// An undecided gap is min(c, ub) − lb: how far below the cutoff the lower
-// bound sat, capped at the interval width so callers passing c = +Inf
-// (Prim's initial keys) report a finite, comparable figure (the value is
-// needed, so the upper bound alone can never save the call).
-func (s *Session) decideDistIfLess(i, j int, c float64) (d float64, less bool, out Outcome, gap float64) {
-	if w, ok := s.Known(i, j); ok {
-		s.ins.CacheHits.Inc()
-		s.traceCmp(obs.OpDistIfLess, i, j, -1, -1, obs.OutcomeCache, 0, 0)
-		return w, w < c, OutcomeExact, 0
-	}
-	lb, ub := s.Bounds(i, j)
-	if lb >= c {
-		s.noteSaved()
-		out, oc := s.boundsOutcome()
-		s.traceCmp(obs.OpDistIfLess, i, j, -1, -1, oc, 0, 0)
-		return 0, false, out, 0
-	}
-	if s.cmp != nil && s.cmp.ProveGEC(i, j, c) {
-		s.noteSaved()
-		s.traceCmp(obs.OpDistIfLess, i, j, -1, -1, obs.OutcomeBounds, 0, 0)
-		return 0, false, OutcomeBounds, 0
-	}
-	s.ins.ResolvedComparisons.Inc()
-	gap = c - lb
-	if ub < c {
-		gap = ub - lb
-	}
-	return 0, false, OutcomeUndecided, gap
+	d, less, err := s.distIfLess(noLock{}, s, obs.OutcomeDegraded, i, j, c)
+	return s.deg.DistIfLess(d, less, err, i, j, c)
 }
 
 // Bootstrap resolves all landmark-to-object distances through the oracle

@@ -36,12 +36,22 @@ type SharedSession struct {
 	mu       sync.Mutex
 	s        *Session
 	inflight map[int64]*flight
+	deg      Degrader
 }
 
 // Share wraps a Session for concurrent use. The underlying Session must
 // not be used directly while the shared view is live.
 func Share(s *Session) *SharedSession {
-	return &SharedSession{s: s, inflight: make(map[int64]*flight)}
+	c := &SharedSession{s: s, inflight: make(map[int64]*flight)}
+	c.deg = NewDegrader(c.Bounds, c.degraded)
+	return c
+}
+
+// degraded is the shared view's failure hook for its Degrader.
+func (c *SharedSession) degraded(err error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.s.degraded(err)
 }
 
 // N returns the number of objects.
@@ -50,27 +60,12 @@ func (c *SharedSession) N() int { return c.s.N() } // immutable, no lock
 // MaxDistance returns the configured distance cap.
 func (c *SharedSession) MaxDistance() float64 { return c.s.MaxDistance() } // immutable, no lock
 
-// resolve returns the exact distance for (i, j) when the oracle
-// cooperates, or a best-effort bounds-midpoint estimate (counting a
-// DegradedAnswer, latching OracleErr) when it does not; see resolveErr
-// for the error-propagating primitive.
-func (c *SharedSession) resolve(i, j int) float64 {
-	d, err := c.resolveErr(i, j)
-	if err != nil {
-		c.s.ins.DegradedAnswers.Inc() // atomic; no lock needed
-		c.mu.Lock()
-		d = c.s.estimate(i, j)
-		c.mu.Unlock()
-	}
-	return d
-}
-
-// resolveErr resolves the exact distance for (i, j), making at most one
-// oracle call per pair across all goroutines. The lock is released for
-// the duration of the oracle round-trip. A failed attempt is shared with
-// every goroutine waiting on the same flight but commits nothing, so the
-// pair can be retried by a later call.
-func (c *SharedSession) resolveErr(i, j int) (float64, error) {
+// DistErr resolves the exact distance for (i, j), making at most one
+// oracle call per pair across all goroutines; see Session.DistErr. The
+// lock is released for the duration of the oracle round-trip. A failed
+// attempt is shared with every goroutine waiting on the same flight but
+// commits nothing, so the pair can be retried by a later call.
+func (c *SharedSession) DistErr(i, j int) (float64, error) {
 	if i == j {
 		return 0, nil
 	}
@@ -106,10 +101,10 @@ func (c *SharedSession) resolveErr(i, j int) (float64, error) {
 
 // Dist resolves the exact distance (memoised, single-flight), degrading
 // like Session.Dist when the resolution fails.
-func (c *SharedSession) Dist(i, j int) float64 { return c.resolve(i, j) }
-
-// DistErr is Dist with error propagation; see Session.DistErr.
-func (c *SharedSession) DistErr(i, j int) (float64, error) { return c.resolveErr(i, j) }
+func (c *SharedSession) Dist(i, j int) float64 {
+	d, err := c.DistErr(i, j)
+	return c.deg.Dist(d, err, i, j)
+}
 
 // Known reports an already-resolved pair.
 func (c *SharedSession) Known(i, j int) (float64, bool) {
@@ -135,10 +130,12 @@ func (c *SharedSession) BoundsBatch(is, js []int, lb, ub []float64) {
 	c.s.BoundsBatch(is, js, lb, ub)
 }
 
-// Less reports whether dist(i,j) < dist(k,l). The bound-only decision
-// runs under the lock; if it is inconclusive both distances are resolved
-// with the lock released. On a failed resolution it degrades like
-// Session.Less; use LessErr or LessOutcome to observe failures.
+// Every comparison below is Session's primitive for its shape, deciding
+// under the lock and resolving through the single-flight DistErr with the
+// lock released; the never-failing forms answer through the Degrader.
+
+// Less reports whether dist(i,j) < dist(k,l), degrading like
+// Session.Less on a failed resolution.
 func (c *SharedSession) Less(i, j, k, l int) bool {
 	r, _ := c.LessOutcome(i, j, k, l)
 	return r
@@ -146,140 +143,40 @@ func (c *SharedSession) Less(i, j, k, l int) bool {
 
 // LessErr is Less with error propagation; see Session.LessErr.
 func (c *SharedSession) LessErr(i, j, k, l int) (bool, error) {
-	c.mu.Lock()
-	r, out, gap := c.s.decideLess(i, j, k, l)
-	c.mu.Unlock()
-	if out != OutcomeUndecided {
-		return r, nil
-	}
-	t0 := c.s.traceStart()
-	d1, err := c.resolveErr(i, j)
-	var d2 float64
-	if err == nil {
-		d2, err = c.resolveErr(k, l)
-	}
-	lat := c.s.traceSince(t0)
-	if err != nil {
-		c.s.traceCmp(obs.OpLess, i, j, k, l, obs.OutcomeError, gap, lat)
-		return false, err
-	}
-	c.s.traceCmp(obs.OpLess, i, j, k, l, obs.OutcomeOracle, gap, lat)
-	return d1 < d2, nil
+	r, _, err := c.s.less(&c.mu, c, obs.OutcomeError, i, j, k, l)
+	return r, err
 }
 
 // LessOutcome is Less plus a per-call outcome report; see
 // Session.LessOutcome.
 func (c *SharedSession) LessOutcome(i, j, k, l int) (result bool, out Outcome) {
-	c.mu.Lock()
-	r, out, gap := c.s.decideLess(i, j, k, l)
-	c.mu.Unlock()
-	if out != OutcomeUndecided {
-		return r, out
-	}
-	t0 := c.s.traceStart()
-	d1, err := c.resolveErr(i, j)
-	var d2 float64
-	if err == nil {
-		d2, err = c.resolveErr(k, l)
-	}
-	lat := c.s.traceSince(t0)
-	if err == nil {
-		c.s.traceCmp(obs.OpLess, i, j, k, l, obs.OutcomeOracle, gap, lat)
-		return d1 < d2, OutcomeExact
-	}
-	c.s.ins.DegradedAnswers.Inc()
-	c.s.traceCmp(obs.OpLess, i, j, k, l, obs.OutcomeDegraded, gap, lat)
-	c.mu.Lock()
-	r = c.s.estimate(i, j) < c.s.estimate(k, l)
-	c.mu.Unlock()
-	return r, OutcomeUnavailable
+	r, out, err := c.s.less(&c.mu, c, obs.OutcomeDegraded, i, j, k, l)
+	return c.deg.Less(r, out, err, i, j, k, l)
 }
 
 // LessThan reports whether dist(i,j) < v, degrading like Session.LessThan
 // on a failed resolution.
 func (c *SharedSession) LessThan(i, j int, v float64) bool {
-	c.mu.Lock()
-	r, out, gap := c.s.decideLessThan(i, j, v)
-	c.mu.Unlock()
-	if out != OutcomeUndecided {
-		return r
-	}
-	t0 := c.s.traceStart()
-	d, err := c.resolveErr(i, j)
-	lat := c.s.traceSince(t0)
-	if err != nil {
-		c.s.ins.DegradedAnswers.Inc()
-		c.s.traceCmp(obs.OpLessThan, i, j, -1, -1, obs.OutcomeDegraded, gap, lat)
-		c.mu.Lock()
-		r = c.s.estimate(i, j) < v
-		c.mu.Unlock()
-		return r
-	}
-	c.s.traceCmp(obs.OpLessThan, i, j, -1, -1, obs.OutcomeOracle, gap, lat)
-	return d < v
+	r, err := c.s.lessThan(&c.mu, c, obs.OutcomeDegraded, i, j, v)
+	return c.deg.LessThan(r, err, i, j, v)
 }
 
 // LessThanErr is LessThan with error propagation; see Session.LessThanErr.
 func (c *SharedSession) LessThanErr(i, j int, v float64) (bool, error) {
-	c.mu.Lock()
-	r, out, gap := c.s.decideLessThan(i, j, v)
-	c.mu.Unlock()
-	if out != OutcomeUndecided {
-		return r, nil
-	}
-	t0 := c.s.traceStart()
-	d, err := c.resolveErr(i, j)
-	lat := c.s.traceSince(t0)
-	if err != nil {
-		c.s.traceCmp(obs.OpLessThan, i, j, -1, -1, obs.OutcomeError, gap, lat)
-		return false, err
-	}
-	c.s.traceCmp(obs.OpLessThan, i, j, -1, -1, obs.OutcomeOracle, gap, lat)
-	return d < v, nil
+	return c.s.lessThan(&c.mu, c, obs.OutcomeError, i, j, v)
 }
 
 // DistIfLess is the value-needed comparison; see Session.DistIfLess. On a
 // failed resolution the returned value is an uncommitted estimate.
 func (c *SharedSession) DistIfLess(i, j int, v float64) (float64, bool) {
-	c.mu.Lock()
-	d, less, out, gap := c.s.decideDistIfLess(i, j, v)
-	c.mu.Unlock()
-	if out != OutcomeUndecided {
-		return d, less
-	}
-	t0 := c.s.traceStart()
-	d, err := c.resolveErr(i, j)
-	lat := c.s.traceSince(t0)
-	if err != nil {
-		c.s.ins.DegradedAnswers.Inc()
-		c.s.traceCmp(obs.OpDistIfLess, i, j, -1, -1, obs.OutcomeDegraded, gap, lat)
-		c.mu.Lock()
-		d = c.s.estimate(i, j)
-		c.mu.Unlock()
-		return d, d < v
-	}
-	c.s.traceCmp(obs.OpDistIfLess, i, j, -1, -1, obs.OutcomeOracle, gap, lat)
-	return d, d < v
+	d, less, err := c.s.distIfLess(&c.mu, c, obs.OutcomeDegraded, i, j, v)
+	return c.deg.DistIfLess(d, less, err, i, j, v)
 }
 
 // DistIfLessErr is DistIfLess with error propagation; see
 // Session.DistIfLessErr.
 func (c *SharedSession) DistIfLessErr(i, j int, v float64) (float64, bool, error) {
-	c.mu.Lock()
-	d, less, out, gap := c.s.decideDistIfLess(i, j, v)
-	c.mu.Unlock()
-	if out != OutcomeUndecided {
-		return d, less, nil
-	}
-	t0 := c.s.traceStart()
-	d, err := c.resolveErr(i, j)
-	lat := c.s.traceSince(t0)
-	if err != nil {
-		c.s.traceCmp(obs.OpDistIfLess, i, j, -1, -1, obs.OutcomeError, gap, lat)
-		return 0, false, err
-	}
-	c.s.traceCmp(obs.OpDistIfLess, i, j, -1, -1, obs.OutcomeOracle, gap, lat)
-	return d, d < v, nil
+	return c.s.distIfLess(&c.mu, c, obs.OutcomeError, i, j, v)
 }
 
 // Bootstrap resolves landmark rows; see Session.Bootstrap. Bootstrap is a
@@ -287,7 +184,7 @@ func (c *SharedSession) DistIfLessErr(i, j int, v float64) (float64, bool, error
 func (c *SharedSession) Bootstrap(landmarks []int) int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	//proxlint:allow lockheldoracle -- setup phase: Bootstrap runs before workers start, so holding the lock across its oracle calls serialises nothing; resolve() is the hot path and releases the lock around every round-trip
+	//proxlint:allow lockheldoracle -- setup phase: Bootstrap runs before workers start, so holding the lock across its oracle calls serialises nothing; DistErr is the hot path and releases the lock around every round-trip
 	return c.s.Bootstrap(landmarks)
 }
 

@@ -20,7 +20,6 @@ import (
 	"strings"
 
 	"metricprox/internal/metric"
-	"metricprox/internal/obs"
 )
 
 // SlackPolicy declares how far the oracle may stray from a true metric:
@@ -34,15 +33,17 @@ import (
 // triangle per derivation — SchemeNoop, SchemeTri, SchemeLAESA,
 // SchemeTLAESA. Multi-hop schemes (SPLUB, ADM, DFT, Hybrid) accumulate
 // one margin per hop, so a fixed ε does not bound their error and the
-// constructor panics on the combination. Ratio slack reuses the
-// WithRelaxation machinery and is limited to SchemeNoop and SchemeTri for
-// the same reason.
+// constructor panics on the combination. Ratio slack reuses the Tri
+// scheme's relaxation machinery and is limited to SchemeNoop and SchemeTri
+// for the same reason.
 type SlackPolicy struct {
 	// Additive is ε: the worst additive triangle-violation margin the
 	// oracle is declared (or observed) to have. Must be ≥ 0 and finite.
 	Additive float64
 	// Ratio is ρ: the multiplicative violation factor. 0 or 1 means
-	// none; values > 1 fold into the session's relaxation factor.
+	// none; values > 1 declare a ρ-relaxed metric (d(x,z) ≤
+	// ρ·(d(x,y)+d(y,z)), e.g. squared Euclidean with ρ = 2 — see
+	// metric.Power).
 	Ratio float64
 	// Auto grows the effective ε beyond Additive as the session's
 	// violation auditor observes larger margins on resolved triangles.
@@ -76,24 +77,15 @@ func (p SlackPolicy) Relax(lb, ub, eps, maxDist float64) (float64, float64) {
 }
 
 // WithSlack declares the oracle a near-metric and activates ε-slack mode;
-// see SlackPolicy for the contract and the scheme restrictions.
+// see SlackPolicy for the contract and the scheme restrictions. It panics
+// on an out-of-range policy, and the constructor on a scheme or
+// comparator that cannot support it.
 func WithSlack(p SlackPolicy) Option {
-	if p.Additive < 0 || math.IsNaN(p.Additive) || math.IsInf(p.Additive, 0) {
-		panic("core: SlackPolicy.Additive must be ≥ 0 and finite")
+	// SchemeNoop supports every policy, so only the range rules apply.
+	if err := p.validate(SchemeNoop, false); err != nil {
+		panic(err)
 	}
-	if p.Ratio != 0 && (p.Ratio < 1 || math.IsInf(p.Ratio, 0) || math.IsNaN(p.Ratio)) {
-		panic("core: SlackPolicy.Ratio must be ≥ 1 and finite (or 0 for none)")
-	}
-	return func(s *Session) {
-		s.slack = p
-		if p.Ratio > 1 && p.Ratio > s.rho {
-			// Ratio slack is exactly a ρ-relaxed metric declaration; the
-			// Tri scheme's relaxation machinery produces the widened
-			// intervals and the constructor's existing gate rejects
-			// schemes that cannot support it.
-			s.rho = p.Ratio
-		}
-	}
+	return func(s *Session) { s.slack = p }
 }
 
 // WithAuditor attaches a triangle-violation auditor: every oracle
@@ -169,18 +161,6 @@ func (s *Session) slackOn() bool {
 	return s.slackAdditive() && s.slackEps() > 0
 }
 
-// boundsOutcome classifies a comparison settled from bound intervals —
-// OutcomeBounds normally, OutcomeSlack (counted in Stats.SlackResolved)
-// while the intervals are relaxed by an active slack policy — returning
-// both the Outcome and the obs trace label for it.
-func (s *Session) boundsOutcome() (Outcome, string) {
-	if s.slackOn() {
-		s.ins.SlackResolved.Inc()
-		return OutcomeSlack, obs.OutcomeSlack
-	}
-	return OutcomeBounds, obs.OutcomeBounds
-}
-
 // auditTriangles checks every triangle the fresh resolution (i, j, d)
 // closes against the known-edge graph: the common neighbours of i and j,
 // found by a two-cursor merge of the sorted adjacency rows. Rows are
@@ -210,9 +190,17 @@ func (s *Session) auditTriangles(i, j int, d float64) {
 
 // SlackSupported reports whether policy p can be soundly combined with
 // scheme, as a returned error instead of the constructor panic — for
-// transport layers (internal/service) that must map a bad combination
-// onto a 4xx response rather than crash the daemon.
+// transport layers (internal/service) and CLIs that must map a bad
+// combination onto a 4xx response or a usage error rather than crash.
 func SlackSupported(p SlackPolicy, scheme Scheme) error {
+	return p.validate(scheme, false)
+}
+
+// validate is the one statement of the slack rules: Additive must be ≥ 0
+// and finite and Ratio 0 (none) or ≥ 1 and finite; additive slack needs a
+// scheme whose intervals chain a single triangle per derivation and no
+// direct comparator; ratio slack needs SchemeNoop or SchemeTri.
+func (p SlackPolicy) validate(scheme Scheme, comparator bool) error {
 	if p.Additive < 0 || math.IsNaN(p.Additive) || math.IsInf(p.Additive, 0) {
 		return fmt.Errorf("core: SlackPolicy.Additive must be ≥ 0 and finite, got %v", p.Additive)
 	}
@@ -223,15 +211,14 @@ func SlackSupported(p SlackPolicy, scheme Scheme) error {
 		switch scheme {
 		case SchemeNoop, SchemeTri, SchemeLAESA, SchemeTLAESA:
 		default:
-			return fmt.Errorf("core: scheme %v does not support additive slack (its bounds chain more than one triangle per derivation)", scheme)
+			return fmt.Errorf("core: scheme %v does not support additive slack: its bounds chain more than one triangle per derivation, so a per-triangle margin ε does not bound the interval error", scheme)
+		}
+		if comparator {
+			return fmt.Errorf("core: direct comparators do not support additive slack (their proofs assume a true metric)")
 		}
 	}
-	if p.Ratio > 1 {
-		switch scheme {
-		case SchemeNoop, SchemeTri:
-		default:
-			return fmt.Errorf("core: scheme %v does not support ratio slack (relaxation is limited to noop/tri)", scheme)
-		}
+	if p.Ratio > 1 && scheme != SchemeNoop && scheme != SchemeTri {
+		return fmt.Errorf("core: scheme %v does not support ratio slack (relaxation is limited to noop/tri)", scheme)
 	}
 	return nil
 }
@@ -242,9 +229,9 @@ func SlackSupported(p SlackPolicy, scheme Scheme) error {
 //	-slack eps=X[,ratio=R]
 //
 // "auto" grows ε from the attached auditor's observed margin; the
-// explicit form declares the near-metric contract up front. Range checks
-// mirror SlackSupported; unknown and duplicate keys are rejected so a
-// typo cannot silently run strict.
+// explicit form declares the near-metric contract up front. Values are
+// range-checked by the same rules as SlackSupported; unknown and
+// duplicate keys are rejected so a typo cannot silently run strict.
 func ParseSlackSpec(spec string) (SlackPolicy, error) {
 	if strings.TrimSpace(spec) == "auto" {
 		return SlackPolicy{Auto: true}, nil
@@ -266,41 +253,22 @@ func ParseSlackSpec(spec string) (SlackPolicy, error) {
 			if err != nil {
 				return SlackPolicy{}, fmt.Errorf("core: bad eps %q: %v", val, err)
 			}
-			if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-				return SlackPolicy{}, fmt.Errorf("core: eps must be ≥ 0 and finite, got %v", v)
-			}
 			p.Additive = v
 		case "ratio":
 			r, err := strconv.ParseFloat(val, 64)
 			if err != nil {
 				return SlackPolicy{}, fmt.Errorf("core: bad ratio %q: %v", val, err)
 			}
-			if !(r >= 1) || math.IsInf(r, 0) {
-				return SlackPolicy{}, fmt.Errorf("core: ratio must be ≥ 1 and finite, got %v", r)
-			}
 			p.Ratio = r
 		default:
 			return SlackPolicy{}, fmt.Errorf("core: unknown key %q in slack spec %q (known: eps, ratio; or auto)", key, spec)
 		}
 	}
+	if err := p.validate(SchemeNoop, false); err != nil {
+		return SlackPolicy{}, err
+	}
 	if !p.Active() {
 		return SlackPolicy{}, fmt.Errorf("core: slack spec %q declares no slack (need eps > 0, ratio > 1, or auto)", spec)
 	}
 	return p, nil
-}
-
-// validateSlackScheme enforces the per-scheme soundness restrictions of
-// an additive slack policy at construction time; see SlackPolicy.
-func validateSlackScheme(p SlackPolicy, scheme Scheme, hasComparator bool) {
-	if !(p.Additive > 0 || p.Auto) {
-		return
-	}
-	switch scheme {
-	case SchemeNoop, SchemeTri, SchemeLAESA, SchemeTLAESA:
-	default:
-		panic(fmt.Sprintf("core: scheme %v does not support additive slack: its bounds chain more than one triangle per derivation, so a per-triangle margin ε does not bound the interval error", scheme))
-	}
-	if hasComparator {
-		panic("core: direct comparators do not support additive slack (their proofs assume a true metric)")
-	}
 }

@@ -179,6 +179,34 @@ func TestSlackOutcomeAndStats(t *testing.T) {
 	}
 }
 
+func TestSlackAggregatesCountSlackResolved(t *testing.T) {
+	m := datasets.RandomMetric(16, 7)
+	s := NewSession(metric.NewOracle(m), SchemeTri, WithSlack(SlackPolicy{Additive: 0.05}))
+	for i := 1; i < 16; i++ {
+		s.Dist(0, i)
+	}
+	before := s.Stats()
+	// Two derived intervals sum to at most 2·MaxDistance < 10, and a lone
+	// left-hand sum is never below an empty right-hand one: both
+	// aggregates settle from the widened intervals with no oracle call.
+	if !s.SumLessThan([]Pair{{1, 2}, {3, 4}}, 10) {
+		t.Fatal("SumLessThan below a cutoff above every bound = false")
+	}
+	if s.SumLess([]Pair{{1, 2}}, nil) {
+		t.Fatal("SumLess of a distance against an empty sum = true")
+	}
+	st := s.Stats()
+	if st.OracleCalls != before.OracleCalls {
+		t.Fatalf("bounds-settled aggregates spent %d oracle calls", st.OracleCalls-before.OracleCalls)
+	}
+	if got := st.SavedComparisons - before.SavedComparisons; got != 2 {
+		t.Fatalf("SavedComparisons grew by %d, want 2", got)
+	}
+	if got := st.SlackResolved - before.SlackResolved; got != 2 {
+		t.Fatalf("SlackResolved grew by %d, want 2: aggregates settled from widened intervals", got)
+	}
+}
+
 func TestStrictModeDetectsViolation(t *testing.T) {
 	evil := violatingSpace{Space: tightSpace(12), i: 2, j: 5, d: 0.9}
 	aud := metric.NewAuditor(0)

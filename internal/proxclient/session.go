@@ -48,9 +48,13 @@ type SessionOptions struct {
 // distances and the loosest-known interval bounds. A locally decided
 // comparison uses only facts that are permanently true (a resolved
 // distance never changes; server bounds only tighten, so a cached bound is
-// a stale-but-sound bound). Decisions made from sound bounds are the same
-// decisions the server would make, which is why remote runs stay
-// bit-identical to in-process runs.
+// a stale-but-sound bound), and decides through core's kernel
+// (core.Interval), the same rules the server applies. Decisions made from
+// sound bounds are the same decisions the server would make, which is why
+// remote runs stay bit-identical to in-process runs. Failures follow
+// core's error model: every failed resolving round-trip latches
+// OracleErr, and the never-failing methods degrade through a
+// core.Degrader.
 //
 // The mutex guards only the mirror maps and is never held across an HTTP
 // round-trip.
@@ -68,6 +72,8 @@ type Session struct {
 	lb, ub    map[uint64]float64
 	eps       float64 // high-water slack ε observed in server responses
 	oracleErr error
+
+	deg core.Degrader
 }
 
 // CreateSession creates (or attaches to) the named session on the daemon
@@ -88,7 +94,7 @@ func CreateSession(ctx context.Context, c Caller, name, scheme string, opts Sess
 	if err := c.do(ctx, http.MethodPost, "/v1/sessions", req, &info); err != nil {
 		return nil, err
 	}
-	return &Session{
+	s := &Session{
 		c:          c,
 		name:       name,
 		n:          info.N,
@@ -98,7 +104,9 @@ func CreateSession(ctx context.Context, c Caller, name, scheme string, opts Sess
 		known:      make(map[uint64]float64),
 		lb:         make(map[uint64]float64),
 		ub:         make(map[uint64]float64),
-	}, nil
+	}
+	s.deg = core.NewDegrader(s.localBounds, s.latch)
+	return s, nil
 }
 
 // Name returns the session's registry name on the daemon.
@@ -126,40 +134,36 @@ func (s *Session) N() int { return s.n }
 // MaxDistance returns the daemon's a-priori distance cap.
 func (s *Session) MaxDistance() float64 { return s.max }
 
-// localKnown reads the mirror's resolved distance for (i, j).
-func (s *Session) localKnown(i, j int) (float64, bool) {
+// local reads the mirror's interval for (i, j) and whether it is a
+// resolved distance, [d, d]; a self-pair is resolved at 0, and a pair with
+// no facts gets the trivial [0, MaxDistance].
+func (s *Session) local(i, j int) (core.Interval, bool) {
 	if i == j {
-		return 0, true
+		return core.Interval{}, true
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	d, ok := s.known[pairKey(i, j)]
-	return d, ok
+	return s.localLocked(pairKey(i, j))
 }
 
-// localBounds reads the mirror's interval for (i, j); absent entries give
-// the trivial [0, MaxDistance] interval.
-func (s *Session) localBounds(i, j int) (lb, ub float64) {
-	if i == j {
-		return 0, 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.localBoundsLocked(pairKey(i, j))
-}
-
-func (s *Session) localBoundsLocked(key uint64) (lb, ub float64) {
+func (s *Session) localLocked(key uint64) (core.Interval, bool) {
 	if d, ok := s.known[key]; ok {
-		return d, d
+		return core.Interval{LB: d, UB: d}, true
 	}
-	lb, ub = 0, s.max
-	if v, ok := s.lb[key]; ok && v > lb {
-		lb = v
+	iv := core.Interval{LB: 0, UB: s.max}
+	if v, ok := s.lb[key]; ok && v > iv.LB {
+		iv.LB = v
 	}
-	if v, ok := s.ub[key]; ok && v < ub {
-		ub = v
+	if v, ok := s.ub[key]; ok && v < iv.UB {
+		iv.UB = v
 	}
-	return lb, ub
+	return iv, false
+}
+
+// localBounds is local as the Degrader's no-round-trip bounds.
+func (s *Session) localBounds(i, j int) (lb, ub float64) {
+	iv, _ := s.local(i, j)
+	return iv.LB, iv.UB
 }
 
 // noteDist commits a server-resolved distance to the mirror.
@@ -243,18 +247,16 @@ func (s *Session) OracleErr() error {
 	return s.oracleErr
 }
 
-// estimate mirrors core.Session.estimate: the midpoint of the current
-// (local) bounds, used by the degrading legacy methods.
-func (s *Session) estimate(i, j int) float64 {
-	lb, ub := s.localBounds(i, j)
-	return (lb + ub) / 2
-}
-
 // Known reports a pair resolved in the local mirror. A pair the server
 // resolved but this client never asked about reports false — the miss
 // falls through to Dist, which returns the identical memoised value, so
 // answers are unaffected.
-func (s *Session) Known(i, j int) (float64, bool) { return s.localKnown(i, j) }
+func (s *Session) Known(i, j int) (float64, bool) {
+	if iv, known := s.local(i, j); known {
+		return iv.LB, true
+	}
+	return 0, false
+}
 
 // Bounds returns interval bounds for (i, j): the mirror's if it has any
 // facts, otherwise one round-trip to the server's bounds endpoint (cached
@@ -267,13 +269,12 @@ func (s *Session) Bounds(i, j int) (lb, ub float64) {
 	if !s.noCache {
 		s.mu.Lock()
 		key := pairKey(i, j)
-		_, haveKnown := s.known[key]
 		_, haveLB := s.lb[key]
 		_, haveUB := s.ub[key]
-		lb, ub = s.localBoundsLocked(key)
+		iv, known := s.localLocked(key)
 		s.mu.Unlock()
-		if haveKnown || haveLB || haveUB {
-			return lb, ub
+		if known || haveLB || haveUB {
+			return iv.LB, iv.UB
 		}
 	}
 	var resp api.BoundsResponse
@@ -294,15 +295,25 @@ func (s *Session) SlackEps() float64 {
 	return s.eps
 }
 
+// post sends one resolving primitive (dist, less, lessthan, distifless)
+// to the server session. A failure is latched as OracleErr before it is
+// returned, as core latches every failed resolution.
+func (s *Session) post(op string, in, out any) error {
+	err := s.c.do(context.Background(), http.MethodPost, s.path(op), in, out)
+	if err != nil {
+		s.latch(err)
+	}
+	return err
+}
+
 // DistErr resolves the exact distance, round-tripping only on a mirror
 // miss.
 func (s *Session) DistErr(i, j int) (float64, error) {
-	if d, ok := s.localKnown(i, j); ok {
-		return d, nil
+	if iv, known := s.local(i, j); known {
+		return iv.LB, nil
 	}
 	var resp api.DistResponse
-	err := s.c.do(context.Background(), http.MethodPost, s.path("dist"), api.PairRequest{I: i, J: j}, &resp)
-	if err != nil {
+	if err := s.post("dist", api.PairRequest{I: i, J: j}, &resp); err != nil {
 		return 0, err
 	}
 	d := float64(resp.D)
@@ -310,85 +321,56 @@ func (s *Session) DistErr(i, j int) (float64, error) {
 	return d, nil
 }
 
-// Dist is DistErr degraded to the legacy contract: on failure it latches
-// OracleErr and returns the bounds-midpoint estimate, like core.Session.
+// Dist is DistErr degraded to the legacy contract through the Degrader:
+// on failure it returns the mirror's bounds-midpoint estimate.
 func (s *Session) Dist(i, j int) float64 {
 	d, err := s.DistErr(i, j)
-	if err != nil {
-		s.latch(err)
-		return s.estimate(i, j)
-	}
-	return d
+	return s.deg.Dist(d, err, i, j)
 }
 
-// decideLess settles dist(i,j) < dist(k,l) from the mirror alone.
-func (s *Session) decideLess(i, j, k, l int) (result bool, out core.Outcome) {
-	d1, ok1 := s.localKnown(i, j)
-	d2, ok2 := s.localKnown(k, l)
-	if ok1 && ok2 {
-		return d1 < d2, core.OutcomeExact
-	}
-	lb1, ub1 := s.localBounds(i, j)
-	lb2, ub2 := s.localBounds(k, l)
-	if ub1 < lb2 {
-		return true, core.OutcomeBounds
-	}
-	if lb1 >= ub2 {
-		return false, core.OutcomeBounds
-	}
-	return false, core.OutcomeUndecided
-}
-
-// LessErr reports dist(i,j) < dist(k,l), deciding locally when the mirror
-// can and round-tripping otherwise.
-func (s *Session) LessErr(i, j, k, l int) (bool, error) {
-	if r, out := s.decideLess(i, j, k, l); out != core.OutcomeUndecided {
-		return r, nil
+// less is the Less primitive: it decides from the mirror through the
+// kernel, and otherwise asks the server.
+func (s *Session) less(i, j, k, l int) (bool, core.Outcome, error) {
+	a, knownA := s.local(i, j)
+	b, knownB := s.local(k, l)
+	if r, settled, _ := a.Less(b); settled {
+		if knownA && knownB {
+			return r, core.OutcomeExact, nil
+		}
+		return r, core.OutcomeBounds, nil
 	}
 	if i == j || k == l {
 		// The comparison endpoint rejects self-pairs; resolve the real
 		// pair instead (a self-pair's distance is locally known to be 0).
 		d1, err := s.DistErr(i, j)
 		if err != nil {
-			return false, err
+			return false, core.OutcomeUnavailable, err
 		}
 		d2, err := s.DistErr(k, l)
 		if err != nil {
-			return false, err
+			return false, core.OutcomeUnavailable, err
 		}
-		return d1 < d2, nil
+		return d1 < d2, core.OutcomeExact, nil
 	}
 	var resp api.LessResponse
-	err := s.c.do(context.Background(), http.MethodPost, s.path("less"),
-		api.LessRequest{I: i, J: j, K: k, L: l}, &resp)
-	if err != nil {
-		return false, err
+	if err := s.post("less", api.LessRequest{I: i, J: j, K: k, L: l}, &resp); err != nil {
+		return false, core.OutcomeUnavailable, err
 	}
-	return resp.Less, nil
+	return resp.Less, core.OutcomeExact, nil
+}
+
+// LessErr reports dist(i,j) < dist(k,l), deciding locally when the mirror
+// can and round-tripping otherwise.
+func (s *Session) LessErr(i, j, k, l int) (bool, error) {
+	r, _, err := s.less(i, j, k, l)
+	return r, err
 }
 
 // LessOutcome is Less plus an outcome report; on a remote failure it
-// degrades to comparing bound midpoints, like core.Session.
+// degrades through the Degrader, like core.Session.
 func (s *Session) LessOutcome(i, j, k, l int) (bool, core.Outcome) {
-	if r, out := s.decideLess(i, j, k, l); out != core.OutcomeUndecided {
-		return r, out
-	}
-	if i == j || k == l {
-		r, err := s.LessErr(i, j, k, l)
-		if err != nil {
-			s.latch(err)
-			return s.estimate(i, j) < s.estimate(k, l), core.OutcomeUnavailable
-		}
-		return r, core.OutcomeExact
-	}
-	var resp api.LessResponse
-	err := s.c.do(context.Background(), http.MethodPost, s.path("less"),
-		api.LessRequest{I: i, J: j, K: k, L: l}, &resp)
-	if err != nil {
-		s.latch(err)
-		return s.estimate(i, j) < s.estimate(k, l), core.OutcomeUnavailable
-	}
-	return resp.Less, core.OutcomeExact
+	r, out, err := s.less(i, j, k, l)
+	return s.deg.Less(r, out, err, i, j, k, l)
 }
 
 // Less reports dist(i,j) < dist(k,l), degrading like the legacy core
@@ -398,30 +380,14 @@ func (s *Session) Less(i, j, k, l int) bool {
 	return r
 }
 
-// decideLessThan settles dist(i,j) < c from the mirror alone.
-func (s *Session) decideLessThan(i, j int, c float64) (result bool, out core.Outcome) {
-	if d, ok := s.localKnown(i, j); ok {
-		return d < c, core.OutcomeExact
-	}
-	lb, ub := s.localBounds(i, j)
-	if ub < c {
-		return true, core.OutcomeBounds
-	}
-	if lb >= c {
-		return false, core.OutcomeBounds
-	}
-	return false, core.OutcomeUndecided
-}
-
 // LessThanErr reports dist(i,j) < c with error propagation.
 func (s *Session) LessThanErr(i, j int, c float64) (bool, error) {
-	if r, out := s.decideLessThan(i, j, c); out != core.OutcomeUndecided {
+	a, _ := s.local(i, j)
+	if r, settled, _ := a.LessThan(c); settled {
 		return r, nil
 	}
 	var resp api.LessResponse
-	err := s.c.do(context.Background(), http.MethodPost, s.path("lessthan"),
-		api.LessThanRequest{I: i, J: j, C: api.WireFloat(c)}, &resp)
-	if err != nil {
+	if err := s.post("lessthan", api.LessThanRequest{I: i, J: j, C: api.WireFloat(c)}, &resp); err != nil {
 		return false, err
 	}
 	if !resp.Less {
@@ -434,11 +400,7 @@ func (s *Session) LessThanErr(i, j int, c float64) (bool, error) {
 // failure.
 func (s *Session) LessThan(i, j int, c float64) bool {
 	r, err := s.LessThanErr(i, j, c)
-	if err != nil {
-		s.latch(err)
-		return s.estimate(i, j) < c
-	}
-	return r
+	return s.deg.LessThan(r, err, i, j, c)
 }
 
 // DistIfLessErr resolves dist(i,j) only when it cannot be proved ≥ c,
@@ -446,16 +408,15 @@ func (s *Session) LessThan(i, j int, c float64) bool {
 // lower bound rises to c, so repeated probes against non-increasing
 // thresholds (Prim's relaxation pattern) stop round-tripping.
 func (s *Session) DistIfLessErr(i, j int, c float64) (float64, bool, error) {
-	if d, ok := s.localKnown(i, j); ok {
-		return d, d < c, nil
+	a, known := s.local(i, j)
+	if known {
+		return a.LB, a.LB < c, nil
 	}
-	if lb, _ := s.localBounds(i, j); lb >= c {
+	if _, settled, _ := a.DistIfLess(c); settled {
 		return 0, false, nil
 	}
 	var resp api.DistIfLessResponse
-	err := s.c.do(context.Background(), http.MethodPost, s.path("distifless"),
-		api.DistIfLessRequest{I: i, J: j, C: api.WireFloat(c)}, &resp)
-	if err != nil {
+	if err := s.post("distifless", api.DistIfLessRequest{I: i, J: j, C: api.WireFloat(c)}, &resp); err != nil {
 		return 0, false, err
 	}
 	if resp.Less {
@@ -470,12 +431,7 @@ func (s *Session) DistIfLessErr(i, j int, c float64) (float64, bool, error) {
 // DistIfLess is DistIfLessErr degraded to the legacy contract.
 func (s *Session) DistIfLess(i, j int, c float64) (float64, bool) {
 	d, less, err := s.DistIfLessErr(i, j, c)
-	if err != nil {
-		s.latch(err)
-		e := s.estimate(i, j)
-		return e, e < c
-	}
-	return d, less
+	return s.deg.DistIfLess(d, less, err, i, j, c)
 }
 
 // prefetchChunk is the largest number of bounds ops packed into one batch

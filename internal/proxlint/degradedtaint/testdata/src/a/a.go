@@ -24,6 +24,12 @@ func wireEstimate(s *core.Session) api.DistResponse {
 	return api.DistResponse{D: api.WireFloat(d)} // want `converted to api.WireFloat`
 }
 
+// commitTupleEstimate: the fact survives `return f()` of a result tuple.
+func commitTupleEstimate(s *core.Session, g *pgraph.Graph) {
+	d, _ := s.DistIfLess(1, 2, 3)
+	g.AddEdge(1, 2, d) // want `committed as a pgraph edge weight`
+}
+
 // approx is a local estimator: the (int, int) float64 "estimate" method
 // shape is the contract, wherever it lives.
 type approx struct{}

@@ -33,3 +33,13 @@ func (s *Session) Dist(i, j int) float64 {
 func (s *Session) DistErr(i, j int) (float64, error) {
 	return s.resolve(i, j)
 }
+
+// DistIfLess forwards its helper's result tuple, degraded value included.
+func (s *Session) DistIfLess(i, j int, c float64) (float64, bool) {
+	return s.degradeIfLess(i, j, c)
+}
+
+func (s *Session) degradeIfLess(i, j int, c float64) (float64, bool) {
+	e := s.estimate(i, j)
+	return e, e < c
+}

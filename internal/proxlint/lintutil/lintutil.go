@@ -147,9 +147,18 @@ var sessionDistValued = map[string]bool{
 
 // IsSessionDistValued reports whether f is a core-session method that
 // returns a raw resolved distance (see sessionDistValued). Matching by
-// package path and method name covers core.Session, core.SharedSession,
-// core.FallibleSession and the core.View interface alike.
+// package path and method name covers core.Session, core.SharedSession
+// and the core.View and core.FallibleView interfaces alike.
 func IsSessionDistValued(f *types.Func) bool {
+	return isCoreSessionMethod(f) && sessionDistValued[f.Name()]
+}
+
+// isCoreSessionMethod reports whether f is a method declared in
+// internal/core on anything but the decision kernel: core.Interval's
+// Less/LessThan/DistIfLess are pure interval arithmetic that shares the
+// session methods' names but never reaches the oracle or returns a
+// resolved distance.
+func isCoreSessionMethod(f *types.Func) bool {
 	if f == nil || f.Pkg() == nil || !InCorePackage(f.Pkg().Path()) {
 		return false
 	}
@@ -157,7 +166,8 @@ func IsSessionDistValued(f *types.Func) bool {
 	if !ok || sig.Recv() == nil {
 		return false
 	}
-	return sessionDistValued[f.Name()]
+	n, ok := types.Unalias(sig.Recv().Type()).(*types.Named)
+	return !ok || n.Obj().Name() != "Interval"
 }
 
 // InMetricPackage reports whether the path names the oracle layer.
@@ -227,7 +237,6 @@ var coreOracleEntrypoints = map[string]bool{
 	"SumLess":         true,
 	"Bootstrap":       true,
 	"GreedyLandmarks": true,
-	"resolve":         true,
 
 	// Error-propagating variants of the comparison API (fallible-oracle
 	// subsystem) — same oracle reach as their legacy counterparts.
@@ -237,8 +246,15 @@ var coreOracleEntrypoints = map[string]bool{
 	"LessThanErr":       true,
 	"DistIfLessErr":     true,
 	"BootstrapErr":      true,
-	"resolveErr":        true,
 	"oracleDistanceErr": true,
+
+	// The per-shape comparison primitives Session and SharedSession share
+	// (decide under the lock, then resolve through a resolver) and their
+	// common undecided tail.
+	"less":         true,
+	"lessThan":     true,
+	"distIfLess":   true,
+	"resolvePairs": true,
 }
 
 // IsCoreOracleEntry reports whether f is a core-session method that can
@@ -246,12 +262,5 @@ var coreOracleEntrypoints = map[string]bool{
 // package path and method name so it works on core.Session,
 // core.SharedSession, and the core.View interface alike.
 func IsCoreOracleEntry(f *types.Func) bool {
-	if f == nil || f.Pkg() == nil || !InCorePackage(f.Pkg().Path()) {
-		return false
-	}
-	sig, ok := f.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	return coreOracleEntrypoints[f.Name()]
+	return isCoreSessionMethod(f) && coreOracleEntrypoints[f.Name()]
 }

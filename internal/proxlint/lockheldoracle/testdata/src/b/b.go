@@ -56,6 +56,15 @@ func unlockFirst(g *guarded) float64 {
 	return g.s.Dist(1, 2) // resolved with the lock released: fine
 }
 
+// kernelUnderLock decides from intervals under the lock: the kernel's
+// Less is not the session's Less.
+func kernelUnderLock(g *guarded, a, b core.Interval) bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	r, _, _ := a.Less(b)
+	return r
+}
+
 func earlyReturnKeepsHeld(g *guarded) float64 {
 	g.mu.Lock()
 	if w, ok := g.s.Known(1, 2); ok {

@@ -17,3 +17,9 @@ func (s *Session) DistErr(i, j int) (float64, error)           { return 0, nil }
 func (s *Session) LessErr(i, j, k, l int) (bool, error)        { return false, nil }
 func (s *Session) OracleErr() error                            { return nil }
 func (s *Session) BootstrapErr(landmarks []int) (int64, error) { return 0, nil }
+
+// Interval mirrors the decision kernel: pure interval arithmetic whose
+// methods share the session's names but never reach the oracle.
+type Interval struct{ LB, UB float64 }
+
+func (a Interval) Less(b Interval) (result, settled bool, gap float64) { return a.UB < b.LB, true, 0 }

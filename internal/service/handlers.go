@@ -303,9 +303,8 @@ func (s *Server) handleDistIfLess(w http.ResponseWriter, r *http.Request, entry 
 	if less {
 		// d is exact whenever less is true: the relaxed-bounds decision
 		// path returns less=false, so a shipped D is always a cache hit or
-		// an oracle resolution. The taint is decideDistIfLess's gap metric
-		// sharing the function-level fact.
-		resp.D = api.WireFloat(d) //proxlint:allow slackescape -- D ships only on the exact (cache/oracle) path; the bounds-decided path never sets less
+		// an oracle resolution.
+		resp.D = api.WireFloat(d)
 	}
 	writeJSON(w, resp)
 }
@@ -424,7 +423,7 @@ func (s *Server) handleDistBatch(w http.ResponseWriter, r *http.Request, entry *
 			}
 			res.Less = less
 			if less {
-				res.D = api.WireFloat(d) //proxlint:allow slackescape -- D ships only on the exact (cache/oracle) path; the bounds-decided path never sets less
+				res.D = api.WireFloat(d)
 			}
 		default:
 			res.Err = api.CodeBadRequest
