@@ -204,10 +204,13 @@ func TestBootstrapErrAbortsSoundly(t *testing.T) {
 	if !errors.Is(err, ErrOracleUnavailable) {
 		t.Fatalf("bootstrap abort error = %v, want ErrOracleUnavailable", err)
 	}
-	if spent != 0 {
-		// DistErr fails on the very first call (failures=5 > 0), so no
-		// calls were spent before the abort.
-		t.Fatalf("spent = %d calls before abort, want 0", spent)
+	fo.mu.Lock()
+	served := int64(fo.calls - 1) // every call but the one scripted failure
+	fo.mu.Unlock()
+	if spent != served {
+		// Calls already in flight when the failure landed still succeed,
+		// and their exact values are committed: spent counts exactly them.
+		t.Fatalf("spent = %d calls before abort, want the oracle's %d successful calls", spent, served)
 	}
 	// The abort consumed the only scripted failure, so the oracle has
 	// recovered; the partially bootstrapped session must answer exactly.

@@ -95,7 +95,10 @@ type Stats struct {
 // A Session is not safe for concurrent use; run one per goroutine over the
 // same Oracle if parallel workloads are needed.
 type Session struct {
-	fo      metric.FallibleOracle
+	fo metric.FallibleOracle
+	// inOrder is set when fo declares metric.OrderSensitive: the batch
+	// fan-out then makes its calls one at a time, in input order.
+	inOrder bool
 	g       *pgraph.Graph
 	b       bounds.Bounder
 	cmp     bounds.Comparator
@@ -342,6 +345,7 @@ func NewFallibleSessionWithLandmarks(fo metric.FallibleOracle, scheme Scheme, la
 	n := fo.Len()
 	s := &Session{
 		fo:      fo,
+		inOrder: metric.IsOrderSensitive(fo),
 		g:       pgraph.New(n),
 		maxDist: 1,
 		baseCtx: context.Background(),
@@ -564,10 +568,7 @@ func (s *Session) Bounds(i, j int) (lb, ub float64) {
 	if w, ok := s.g.Weight(i, j); ok {
 		return w, w
 	}
-	// Assigned rather than returned as a tuple: slackescape follows a
-	// relaxed value only through individual float results.
-	lb, ub = s.derived(i, j)
-	return lb, ub
+	return s.derived(i, j)
 }
 
 // derived returns the bound scheme's interval for an unresolved pair,
@@ -681,8 +682,14 @@ func (s *Session) Bootstrap(landmarks []int) int64 {
 type bootstrapAbort struct{ err error }
 
 // BootstrapErr is Bootstrap with error propagation: it returns the calls
-// spent before the first failed resolution, and that failure (nil when
-// the bootstrap completed).
+// spent and the first failed resolution (nil when the bootstrap
+// completed).
+//
+// The landmark rows are resolved through the batch fan-out (see
+// ResolveBatch), committed in bounds.EdgesForBootstrap order. On a
+// failure no further pair is dispatched, every successful resolution is
+// still committed (spent counts them), and the error returned is the
+// first failure in edge order.
 func (s *Session) BootstrapErr(landmarks []int) (spent int64, err error) {
 	// Flip the phase so commitResolution counts into the
 	// phase=bootstrap series; the spent figure is the counter's delta.
@@ -699,19 +706,24 @@ func (s *Session) BootstrapErr(landmarks []int) (spent int64, err error) {
 		spent = s.ins.BootstrapCalls.Value() - before
 		s.phase.Store(phaseRun)
 	}()
-	resolve := func(i, j int) float64 {
-		d, derr := s.DistErr(i, j)
-		if derr != nil {
-			panic(bootstrapAbort{derr})
-		}
-		return d
+	edges := bounds.EdgesForBootstrap(s.N(), landmarks)
+	rows := make([]Pair, len(edges))
+	for x, e := range edges {
+		rows[x] = Pair{A: e.U, B: e.V}
+	}
+	if err := s.resolveBatch(rows, true); err != nil {
+		return 0, err
 	}
 	if b, ok := s.b.(bounds.Bootstrapper); ok {
-		b.Bootstrap(resolve, landmarks)
-	} else {
-		for _, e := range bounds.EdgesForBootstrap(s.N(), landmarks) {
-			resolve(e.U, e.V)
-		}
+		// The scheme's own set-up (TLAESA's pivot tree) re-reads the
+		// resolved rows and resolves its extra pairs one at a time.
+		b.Bootstrap(func(i, j int) float64 {
+			d, derr := s.DistErr(i, j)
+			if derr != nil {
+				panic(bootstrapAbort{derr})
+			}
+			return d
+		}, landmarks)
 	}
 	return 0, nil // real values assigned in the deferred epilogue
 }

@@ -99,6 +99,58 @@ func (c *SharedSession) DistErr(i, j int) (float64, error) {
 	return d, err
 }
 
+// ResolveBatch resolves every pair of pairs exactly; see
+// Session.ResolveBatch. The pairs nobody has resolved or is resolving
+// are registered as this call's flights and fanned out with the lock
+// released, then committed in input order under it; pairs another
+// goroutine is already resolving are waited for, not called again, so
+// each pair still costs at most one oracle call across all goroutines.
+// The error is the first failure in input order, this call's or a
+// waited-for flight's.
+func (c *SharedSession) ResolveBatch(pairs []Pair) error {
+	c.mu.Lock()
+	todo := c.s.unresolved(pairs)
+	flights := make([]*flight, len(todo))
+	owned := make([]bool, len(todo))
+	var mine []Pair
+	for x, p := range todo {
+		key := pgraph.Key(p.A, p.B)
+		if f, ok := c.inflight[key]; ok {
+			flights[x] = f
+			continue
+		}
+		flights[x], owned[x] = newFlight(), true
+		c.inflight[key] = flights[x]
+		mine = append(mine, p)
+	}
+	c.mu.Unlock()
+
+	res := c.s.fanOut(mine, false) // the expensive part, unlocked
+
+	c.mu.Lock()
+	c.s.commitBatch(mine, res)
+	for _, p := range mine {
+		delete(c.inflight, pgraph.Key(p.A, p.B))
+	}
+	c.mu.Unlock()
+	// Publish every own flight before waiting on anyone else's: two
+	// batches waiting on each other's flights must not deadlock.
+	m := 0
+	for x, f := range flights {
+		if owned[x] {
+			f.finish(res[m].d, res[m].err)
+			m++
+		}
+	}
+	var first error
+	for _, f := range flights {
+		if _, err := f.wait(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
 // Dist resolves the exact distance (memoised, single-flight), degrading
 // like Session.Dist when the resolution fails.
 func (c *SharedSession) Dist(i, j int) float64 {

@@ -76,6 +76,22 @@ type BatchBoundsView interface {
 	BoundsBatch(is, js []int, lb, ub []float64)
 }
 
+// BatchResolver is an optional View extension for implementations that
+// can resolve many pairs with their latency overlapped: Session and
+// SharedSession fan the oracle calls out (see Session.ResolveBatch), and
+// the remote session in internal/proxclient sends them as one batch
+// round-trip. Builders hand it pairs they are certain to resolve whatever
+// the bounds say, then read the values back through the View as usual —
+// so, like BoundsPrefetcher, it changes no answer and no oracle-call
+// count, only when the calls are paid. The prox builders probe for it
+// with a type assertion.
+type BatchResolver interface {
+	// ResolveBatch resolves every pair exactly, as DistErr would, and
+	// returns the first failure in input order (nil when all resolved).
+	// A failed pair stays unresolved.
+	ResolveBatch(pairs []Pair) error
+}
+
 var (
 	_ View            = (*Session)(nil)
 	_ View            = (*SharedSession)(nil)
@@ -83,4 +99,6 @@ var (
 	_ FallibleView    = (*SharedSession)(nil)
 	_ BatchBoundsView = (*Session)(nil)
 	_ BatchBoundsView = (*SharedSession)(nil)
+	_ BatchResolver   = (*Session)(nil)
+	_ BatchResolver   = (*SharedSession)(nil)
 )

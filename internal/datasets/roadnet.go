@@ -167,6 +167,11 @@ func clampInt(v, lo, hi int) int {
 // Len returns the number of objects.
 func (r *RoadNet) Len() int { return len(r.objects) }
 
+// OrderSensitive reports true: Distance reads a pair from whichever
+// end's shortest-path row was cached first, and the two sums can differ
+// in the last bit.
+func (r *RoadNet) OrderSensitive() bool { return true }
+
 // Node returns the road-graph node an object is placed on.
 func (r *RoadNet) Node(i int) int { return r.objects[i] }
 

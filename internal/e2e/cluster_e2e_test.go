@@ -226,15 +226,14 @@ func TestClusterKillPrimaryMidWorkload(t *testing.T) {
 			"-cluster", spec, "-node", n, "-replicas", "1",
 			"-cache-dir", t.TempDir())
 	}
-	rt := spawn(t, filepath.Join(logDir, "router.log"), router,
-		"-cluster", spec, "-replicas", "1",
-		"-listen", fmt.Sprintf("127.0.0.1:%d", ports[3]),
-		"-probe-interval", "100ms")
+	var rt *daemon
 	dumpAll := func() {
 		for _, d := range daemons {
 			d.dump(t)
 		}
-		rt.dump(t)
+		if rt != nil {
+			rt.dump(t)
+		}
 	}
 	defer func() {
 		if t.Failed() {
@@ -244,6 +243,17 @@ func TestClusterKillPrimaryMidWorkload(t *testing.T) {
 	for _, n := range names {
 		waitHealthy(t, urls[n]+"/healthz", 30*time.Second)
 	}
+	// The router starts once every node answers, and its prober probes
+	// only at start (the interval outlasts the test), so its view is all
+	// up and changes only when a request fails at the transport. A faster
+	// prober races the test twice: a first probe before a node listens
+	// routes the create past the primary to a replica, which then hosts
+	// the session cold; and a probe between the kill and the next request
+	// routes around the dead primary, so no request fails over.
+	rt = spawn(t, filepath.Join(logDir, "router.log"), router,
+		"-cluster", spec, "-replicas", "1",
+		"-listen", fmt.Sprintf("127.0.0.1:%d", ports[3]),
+		"-probe-interval", "1h")
 	waitHealthy(t, routerURL+"/healthz", 30*time.Second)
 
 	// The test computes ownership with the same ring the processes built

@@ -138,6 +138,9 @@ func New(base metric.Space, cfg Config) *Injector {
 // Len returns the base universe size.
 func (f *Injector) Len() int { return f.base.Len() }
 
+// OrderSensitive forwards the base space's declaration.
+func (f *Injector) OrderSensitive() bool { return metric.IsOrderSensitive(f.base) }
+
 // Counters snapshots the injection counts.
 func (f *Injector) Counters() Counters {
 	f.mu.Lock()

@@ -31,6 +31,24 @@ type Space interface {
 	Distance(i, j int) float64
 }
 
+// OrderSensitive is implemented by spaces and oracles whose distance for
+// a pair can differ, in the last bits, with the calls made before it:
+// datasets.RoadNet sums a pair's shortest path from whichever end's
+// cached Dijkstra row exists first. The oracles over a space (Oracle,
+// faultmetric.Injector, resilient.Oracle) forward it. A caller that
+// would reorder calls — core's batch fan-out — makes an order-sensitive
+// oracle's calls one at a time in their sequential order instead, so
+// every value is the one the sequential loop gets.
+type OrderSensitive interface {
+	OrderSensitive() bool
+}
+
+// IsOrderSensitive reports whether x declares itself order-sensitive.
+func IsOrderSensitive(x any) bool {
+	o, ok := x.(OrderSensitive)
+	return ok && o.OrderSensitive()
+}
+
 // Oracle wraps a Space, counting distance resolutions. It is safe for
 // concurrent use. An Oracle deliberately does not cache: deduplication of
 // repeated pairs is the Session's job, and keeping the Oracle dumb makes
@@ -55,6 +73,9 @@ func NewLatencyOracle(space Space, latency time.Duration) *Oracle {
 
 // Len returns the number of objects in the underlying space.
 func (o *Oracle) Len() int { return o.space.Len() }
+
+// OrderSensitive forwards the space's declaration.
+func (o *Oracle) OrderSensitive() bool { return IsOrderSensitive(o.space) }
 
 // Distance resolves the exact distance between objects i and j,
 // incrementing the call counter.

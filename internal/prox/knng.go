@@ -105,6 +105,17 @@ func knnForNode(s core.View, u, k int) []Neighbor {
 	sort.Slice(cands, func(a, b int) bool {
 		return fcmp.TieLess(cands[a].lb, cands[a].id, cands[b].lb, cands[b].id)
 	})
+	if br, ok := s.(core.BatchResolver); ok {
+		// Until k neighbours are in, the threshold is 2·MaxDistance, which
+		// no sound bound reaches: the first k candidates are resolved
+		// whatever the bounds say, so resolve them together. A failure is
+		// left for the scan's own DistIfLess to retry or degrade.
+		first := make([]core.Pair, min(k, len(cands)))
+		for x := range first {
+			first[x] = core.Pair{A: u, B: cands[x].id}
+		}
+		_ = br.ResolveBatch(first)
+	}
 
 	// Running top-k as a simple sorted slice (k is small).
 	best := make([]Neighbor, 0, k+1)

@@ -2,6 +2,7 @@ package proxclient
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"sync"
 
@@ -434,9 +435,57 @@ func (s *Session) DistIfLess(i, j int, c float64) (float64, bool) {
 	return s.deg.DistIfLess(d, less, err, i, j, c)
 }
 
-// prefetchChunk is the largest number of bounds ops packed into one batch
-// round-trip by PrefetchBounds.
-const prefetchChunk = 2048
+// batchChunk is the largest number of ops packed into one batch
+// round-trip by PrefetchBounds and ResolveBatch.
+const batchChunk = 2048
+
+// unknown returns the distinct non-self pairs of pairs the mirror has not
+// resolved, in order of first appearance. Builders announce candidate
+// lists with repeats; one op per unordered pair is enough.
+func (s *Session) unknown(pairs []core.Pair) []core.Pair {
+	var out []core.Pair
+	seen := make(map[uint64]bool, len(pairs))
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, p := range pairs {
+		if p.A == p.B {
+			continue
+		}
+		k := pairKey(p.A, p.B)
+		if _, ok := s.known[k]; ok || seen[k] {
+			continue
+		}
+		seen[k] = true
+		out = append(out, p)
+	}
+	return out
+}
+
+// batch sends one op of kind op per pair to the batch endpoint, in
+// chunks of at most batchChunk, and hands each op's result to each. It
+// stops at the first failed round-trip and returns its error.
+func (s *Session) batch(op string, pairs []core.Pair, each func(p core.Pair, res api.BatchResult)) error {
+	for len(pairs) > 0 {
+		chunk := pairs[:min(len(pairs), batchChunk)]
+		pairs = pairs[len(chunk):]
+		ops := make([]api.BatchOp, len(chunk))
+		for x, p := range chunk {
+			ops[x] = api.BatchOp{Op: op, I: p.A, J: p.B}
+		}
+		var resp api.BatchResponse
+		err := s.c.do(context.Background(), http.MethodPost, s.path("batch"), api.BatchRequest{Ops: ops}, &resp)
+		if err == nil && len(resp.Results) != len(ops) {
+			err = fmt.Errorf("proxclient: batch answered %d results for %d ops", len(resp.Results), len(ops))
+		}
+		if err != nil {
+			return err
+		}
+		for x, res := range resp.Results {
+			each(chunk[x], res)
+		}
+	}
+	return nil
+}
 
 // PrefetchBounds warms the mirror for pairs with batched bounds reads —
 // the core.BoundsPrefetcher hint. It is purely an optimisation: failures
@@ -446,48 +495,43 @@ func (s *Session) PrefetchBounds(pairs []core.Pair) {
 	if s.noPrefetch || s.noCache {
 		return
 	}
-	var ops []api.BatchOp
-	var want []core.Pair
-	seen := make(map[uint64]struct{}, len(pairs))
-	s.mu.Lock()
-	for _, p := range pairs {
-		if p.A == p.B {
-			continue
+	// A failed hint is just a cold cache.
+	_ = s.batch(api.OpBounds, s.unknown(pairs), func(p core.Pair, res api.BatchResult) {
+		if res.Err == "" {
+			s.noteBounds(p.A, p.B, float64(res.LB), float64(res.UB), float64(res.Eps))
 		}
-		k := pairKey(p.A, p.B)
-		if _, dup := seen[k]; dup {
-			// Builders announce candidate lists with repeats; one bounds
-			// read per unordered pair per hint is enough.
-			continue
-		}
-		seen[k] = struct{}{}
-		if _, ok := s.known[k]; ok {
-			continue
-		}
-		ops = append(ops, api.BatchOp{Op: api.OpBounds, I: p.A, J: p.B})
-		want = append(want, p)
+	})
+}
+
+// ResolveBatch resolves the pairs the mirror does not know with dist ops
+// in one batch round-trip (per batchChunk pairs), which the server
+// resolves with their oracle calls in flight together — the
+// core.BatchResolver extension. Answers and the server's oracle-call
+// count are what per-pair DistErr calls would give. Like every failed
+// resolving round-trip, a failure is latched as OracleErr; the error
+// returned is the first failure in input order, and failed pairs stay
+// unresolved. A no-op under NoCache or NoPrefetch, so the naive client
+// keeps paying one round-trip per primitive.
+func (s *Session) ResolveBatch(pairs []core.Pair) error {
+	if s.noPrefetch || s.noCache {
+		return nil
 	}
-	s.mu.Unlock()
-	for len(ops) > 0 {
-		chunk := ops
-		pw := want
-		if len(chunk) > prefetchChunk {
-			chunk, pw = chunk[:prefetchChunk], pw[:prefetchChunk]
+	var first error
+	err := s.batch(api.OpDist, s.unknown(pairs), func(p core.Pair, res api.BatchResult) {
+		if res.Err == "" {
+			s.noteDist(p.A, p.B, float64(res.D))
+		} else if first == nil {
+			first = &APIError{Status: http.StatusOK, Code: res.Err,
+				Message: fmt.Sprintf("batch dist(%d,%d) failed", p.A, p.B)}
 		}
-		ops, want = ops[len(chunk):], want[len(chunk):]
-		var resp api.BatchResponse
-		err := s.c.do(context.Background(), http.MethodPost, s.path("batch"),
-			api.BatchRequest{Ops: chunk}, &resp)
-		if err != nil || len(resp.Results) != len(chunk) {
-			return // a failed hint is just a cold cache
-		}
-		for x, res := range resp.Results {
-			if res.Err != "" {
-				continue
-			}
-			s.noteBounds(pw[x].A, pw[x].B, float64(res.LB), float64(res.UB), float64(res.Eps))
-		}
+	})
+	if first == nil {
+		first = err
 	}
+	if first != nil {
+		s.latch(first)
+	}
+	return first
 }
 
 // Stats snapshots the server session's statistics over the wire; a
@@ -537,4 +581,5 @@ var (
 	_ core.View             = (*Session)(nil)
 	_ core.FallibleView     = (*Session)(nil)
 	_ core.BoundsPrefetcher = (*Session)(nil)
+	_ core.BatchResolver    = (*Session)(nil)
 )

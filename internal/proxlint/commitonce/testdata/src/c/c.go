@@ -14,6 +14,11 @@ func (s *session) commitResolution(i, j int, d float64) {}
 
 func (s *session) known(i, j int) (float64, bool) { return 0, false }
 
+// fanOut and commitBatch are the batch pair.
+func (s *session) fanOut(pairs [][2]int) []float64 { return make([]float64, len(pairs)) }
+
+func (s *session) commitBatch(pairs [][2]int, ds []float64) error { return nil }
+
 // goodPair is the canonical resolution path.
 func (s *session) goodPair(i, j int) float64 {
 	if w, ok := s.known(i, j); ok {
@@ -65,6 +70,14 @@ func (s *session) doublePair(i, j, k, l int) { // want `doublePair contains 2 or
 func (s *session) allowlisted(i, j int) float64 {
 	//proxlint:allow commitonce -- replaying a persisted resolution, counted at write time
 	return s.oracleDistance(i, j)
+}
+
+func (s *session) uncommittedBatch(pairs [][2]int) []float64 {
+	return s.fanOut(pairs) // want `uncommittedBatch performs an oracle round-trip without a matching commitBatch`
+}
+
+func (s *session) batchCommittedFirst(pairs [][2]int) error {
+	return s.commitBatch(pairs, s.fanOut(pairs)) // want `batchCommittedFirst commits a resolution before the oracle round-trip; commitBatch must follow`
 }
 
 // unrelated functions never trip the analyzer.

@@ -12,6 +12,12 @@ func (s *session) resolveThrough(i, j int) (float64, error) {
 	return d, nil
 }
 
+// resolveBatch is the canonical batch pairing: fan out, then commit.
+func (s *session) resolveBatch(pairs [][2]int) error {
+	ds := s.fanOut(pairs)
+	return s.commitBatch(pairs, ds)
+}
+
 // readsOnly touches neither primitive and is outside the rule entirely.
 func (s *session) readsOnly(i, j int) (float64, bool) {
 	return s.known(i, j)

@@ -255,6 +255,11 @@ var coreOracleEntrypoints = map[string]bool{
 	"lessThan":     true,
 	"distIfLess":   true,
 	"resolvePairs": true,
+
+	// The batch fan-out (oracle calls only, run with any lock released)
+	// and ResolveBatch, its Session/SharedSession wrapper.
+	"fanOut":       true,
+	"ResolveBatch": true,
 }
 
 // IsCoreOracleEntry reports whether f is a core-session method that can

@@ -143,3 +143,23 @@ func errVariantAfterUnlock(g *guarded) (bool, error) {
 	g.mu.Unlock()
 	return g.s.LessErr(1, 2, 3, 4) // resolved with the lock released: fine
 }
+
+func batchUnderLock(g *guarded, pairs []core.Pair) error {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.s.ResolveBatch(pairs) // want `call to ResolveBatch may reach the distance oracle while "g\.mu" is held`
+}
+
+// batchLockReleased has SharedSession.ResolveBatch's shape: bookkeeping
+// under the lock, the fan-out with it released, the commit under it
+// again.
+func batchLockReleased(g *guarded, pairs []core.Pair) error {
+	g.mu.Lock()
+	_, _ = g.s.Known(pairs[0].A, pairs[0].B) // register flights: bookkeeping
+	g.mu.Unlock()
+	err := g.s.ResolveBatch(pairs) // fan-out with the lock released: fine
+	g.mu.Lock()
+	_, _ = g.s.Bounds(pairs[0].A, pairs[0].B) // commit: bookkeeping
+	g.mu.Unlock()
+	return err
+}

@@ -18,6 +18,12 @@ func (s *Session) LessErr(i, j, k, l int) (bool, error)        { return false, n
 func (s *Session) OracleErr() error                            { return nil }
 func (s *Session) BootstrapErr(landmarks []int) (int64, error) { return 0, nil }
 
+// Pair names one unordered pair for batch resolution.
+type Pair struct{ A, B int }
+
+// ResolveBatch fans the pairs' oracle calls out; it reaches the oracle.
+func (s *Session) ResolveBatch(pairs []Pair) error { return nil }
+
 // Interval mirrors the decision kernel: pure interval arithmetic whose
 // methods share the session's names but never reach the oracle.
 type Interval struct{ LB, UB float64 }

@@ -169,9 +169,22 @@ func returnsSlack(pass *analysis.Pass, fn fnInfo, slacked map[*types.Func]bool) 
 	return found
 }
 
+// isFloatExpr reports whether e is a float64, or a call's result tuple
+// with a float64 in it: `return f()` forwards f's taint to the caller.
 func isFloatExpr(info *types.Info, e ast.Expr) bool {
 	tv, ok := info.Types[e]
-	return ok && tv.Type != nil && isBasic(tv.Type, types.Float64)
+	if !ok || tv.Type == nil {
+		return false
+	}
+	if tup, ok := tv.Type.(*types.Tuple); ok {
+		for i := 0; i < tup.Len(); i++ {
+			if isBasic(tup.At(i).Type(), types.Float64) {
+				return true
+			}
+		}
+		return false
+	}
+	return isBasic(tv.Type, types.Float64)
 }
 
 // reportFunc runs the sink checks over one function.

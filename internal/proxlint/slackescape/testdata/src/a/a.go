@@ -26,6 +26,13 @@ func wireBound(s *core.Session) api.DistResponse {
 	return api.DistResponse{D: api.WireFloat(ub)} // want `converted to api.WireFloat`
 }
 
+// wireTupleBound: the "slack" fact survives `return f()` of a result
+// tuple, so the shared wrapper's Bounds is tainted too.
+func wireTupleBound(c *core.SharedSession) api.DistResponse {
+	lb, _ := c.Bounds(1, 2)
+	return api.DistResponse{D: api.WireFloat(lb)} // want `converted to api.WireFloat`
+}
+
 // localRelax applies a local relaxation: the Relax method shape is the
 // contract, wherever it lives.
 type widen struct{}

@@ -39,6 +39,15 @@ func (s *Session) Bounds(i, j int) (float64, float64) {
 	return lb, ub
 }
 
+// SharedSession is the concurrent wrapper: its Bounds forwards the
+// wrapped session's result tuple, relaxed endpoints included.
+type SharedSession struct{ s *Session }
+
+// Bounds returns the wrapped session's relaxed interval.
+func (c *SharedSession) Bounds(i, j int) (float64, float64) {
+	return c.s.Bounds(i, j)
+}
+
 // DistErr resolves the exact oracle distance or fails; slack never
 // applies to resolved values.
 func (s *Session) DistErr(i, j int) (float64, error) {

@@ -195,6 +195,9 @@ func New(base metric.FallibleOracle, p Policy) *Oracle {
 // Len returns the backend universe size.
 func (o *Oracle) Len() int { return o.base.Len() }
 
+// OrderSensitive forwards the base oracle's declaration.
+func (o *Oracle) OrderSensitive() bool { return metric.IsOrderSensitive(o.base) }
+
 // Policy returns the normalised policy in effect.
 func (o *Oracle) Policy() Policy { return o.p }
 

@@ -326,11 +326,10 @@ func (s *Server) handleBounds(w http.ResponseWriter, r *http.Request, entry *cor
 	// Eps is read after Bounds so it is ≥ the slack actually applied (an
 	// auto policy can only grow it); the client's escalation detection
 	// needs that ordering, not exactness.
-	writeJSON(w, api.BoundsResponse{
-		LB:  api.WireFloat(lb),
-		UB:  api.WireFloat(ub),
-		Eps: api.WireFloat(entry.Session.SlackEps()),
-	})
+	resp := api.BoundsResponse{Eps: api.WireFloat(entry.Session.SlackEps())}
+	//proxlint:allow slackescape -- bounds contract: this endpoint ships LB/UB as an interval, labelled as bounds and sent with the ε that relaxed it; the client decides from it and never mirrors it as a distance (DESIGN.md §10, §12)
+	resp.LB, resp.UB = api.WireFloat(lb), api.WireFloat(ub)
+	writeJSON(w, resp)
 }
 
 // handleBootstrap resolves landmark rows up front.
@@ -369,18 +368,25 @@ func (s *Server) handleDistBatch(w http.ResponseWriter, r *http.Request, entry *
 	sess := entry.Session
 	for idx := 0; idx < len(req.Ops); idx++ {
 		op := req.Ops[idx]
-		if op.Op == api.OpBounds {
-			// A bounds op never mutates session state, so a maximal
-			// consecutive run of them answers identically whether served
-			// one by one or in a single BoundsBatch sweep — and the sweep
-			// takes one lock acquisition and one pass over the bound
-			// scheme's state for the whole run (the shape the client's
-			// PrefetchBounds emits).
+		if op.Op == api.OpBounds || op.Op == api.OpDist {
+			// A maximal consecutive run of bounds ops, or of dist ops, is
+			// served in one step. A bounds op never mutates session state,
+			// so its run answers identically one by one or in a single
+			// BoundsBatch sweep (one lock acquisition and one pass over
+			// the bound scheme's state — the shape the client's
+			// PrefetchBounds emits). A dist op is resolved whatever the
+			// bounds say, so its run is one ResolveBatch with the oracle
+			// calls in flight together, committed in op order (the shape
+			// the client's ResolveBatch emits).
 			end := idx + 1
-			for end < len(req.Ops) && req.Ops[end].Op == api.OpBounds {
+			for end < len(req.Ops) && req.Ops[end].Op == op.Op {
 				end++
 			}
-			s.serveBoundsRun(sess, req.Ops[idx:end], results[idx:end])
+			if op.Op == api.OpBounds {
+				s.serveBoundsRun(sess, req.Ops[idx:end], results[idx:end])
+			} else {
+				s.handleDistRun(sess, req.Ops[idx:end], results[idx:end])
+			}
 			idx = end - 1
 			continue
 		}
@@ -390,13 +396,6 @@ func (s *Server) handleDistBatch(w http.ResponseWriter, r *http.Request, entry *
 			continue
 		}
 		switch op.Op {
-		case api.OpDist:
-			d, err := sess.DistErr(op.I, op.J)
-			if err != nil {
-				res.Err = api.CodeOracleUnavailable
-				continue
-			}
-			res.D = api.WireFloat(d)
 		case api.OpLess:
 			if err := s.checkPair(op.K, op.L); err != nil {
 				res.Err = api.CodeBadRequest
@@ -459,6 +458,35 @@ func (s *Server) serveBoundsRun(sess *core.SharedSession, ops []api.BatchOp, res
 	for q, x := range slots {
 		results[x].LB, results[x].UB = api.WireFloat(lb[q]), api.WireFloat(ub[q])
 		results[x].Eps = eps
+	}
+}
+
+// handleDistRun answers a consecutive run of dist ops with one
+// ResolveBatch call. Audited Dist* endpoint: the results carry raw oracle
+// values. Errors stay per op: an invalid pair fails with CodeBadRequest
+// and stays out of the batch, and every valid pair is attempted once, so
+// an op fails with CodeOracleUnavailable exactly when its own pair could
+// not be resolved.
+func (s *Server) handleDistRun(sess *core.SharedSession, ops []api.BatchOp, results []api.BatchResult) {
+	pairs := make([]core.Pair, 0, len(ops))
+	for x, op := range ops {
+		if err := s.checkPair(op.I, op.J); err != nil {
+			results[x].Err = api.CodeBadRequest
+			continue
+		}
+		pairs = append(pairs, core.Pair{A: op.I, B: op.J})
+	}
+	_ = sess.ResolveBatch(pairs) // failures are reported per op below
+	for x, op := range ops {
+		if results[x].Err != "" {
+			continue
+		}
+		d, ok := sess.Known(op.I, op.J)
+		if !ok {
+			results[x].Err = api.CodeOracleUnavailable
+			continue
+		}
+		results[x].D = api.WireFloat(d)
 	}
 }
 
