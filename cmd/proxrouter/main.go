@@ -6,9 +6,8 @@
 // function of (member list, ring seed, session name) — so any number of
 // routers can run side by side and a router restart loses nothing.
 //
-// Clients that can embed the ring themselves (internal/proxclient's
-// ClusterClient) skip the router hop entirely; proxrouter exists for
-// everything else: curl, dashboards, and clients in other languages.
+// Every client reaches a cluster through a router: internal/proxclient,
+// curl, dashboards, and clients in other languages alike.
 //
 // Usage:
 //

@@ -3,7 +3,7 @@
 //
 //   - a consistent-hash ring (virtual nodes, deterministic seed) mapping
 //     each session name to a primary plus R replicas, shared byte-for-byte
-//     by the router, the smart client, and every node;
+//     by the router and every node;
 //   - an asynchronous bound-state replicator that tails each hosted
 //     session's cachestore log and streams committed exact-distance
 //     records to the session's replica owners with sequence-numbered,
@@ -40,7 +40,7 @@ type ringPoint struct {
 
 // Ring is a consistent-hash ring over a fixed set of node names. It is
 // immutable after construction and safe for concurrent use. Every
-// participant — router, smart client, node — builds the ring from the
+// participant — router or node — builds the ring from the
 // same (names, vnodes, seed) triple and therefore computes identical
 // ownership; there is no coordination protocol, only shared arithmetic.
 type Ring struct {

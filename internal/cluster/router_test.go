@@ -16,7 +16,7 @@ import (
 // answers according to its mode.
 type fakeNode struct {
 	name  string
-	mode  atomic.Value // string: "ok", "dead", "draining", "overloaded", "badgateway"
+	mode  atomic.Value // string: "ok", "dead", "draining", "overloaded", "badgateway", "bare502", "timeout504", "notfound", "badrequest"
 	hits  atomic.Int64
 	paths chan string
 	srv   *httptest.Server
@@ -52,6 +52,17 @@ func newFakeNode(t *testing.T, name string) *fakeNode {
 		case "badgateway":
 			w.WriteHeader(http.StatusBadGateway)
 			json.NewEncoder(w).Encode(api.ErrorBody{Code: api.CodeOracleUnavailable, Message: "oracle down"})
+		case "bare502":
+			// An intermediary's answer: no API error envelope.
+			http.Error(w, "bad gateway", http.StatusBadGateway)
+		case "timeout504":
+			http.Error(w, "gateway timeout", http.StatusGatewayTimeout)
+		case "notfound":
+			w.WriteHeader(http.StatusNotFound)
+			json.NewEncoder(w).Encode(api.ErrorBody{Code: api.CodeNotFound, Message: "no such session"})
+		case "badrequest":
+			w.WriteHeader(http.StatusBadRequest)
+			json.NewEncoder(w).Encode(api.ErrorBody{Code: api.CodeBadRequest, Message: "bad pair"})
 		default:
 			if r.URL.Path == "/v1/sessions" && r.Method == http.MethodGet {
 				json.NewEncoder(w).Encode(api.SessionList{Sessions: []string{"on-" + name}})
@@ -204,6 +215,63 @@ func TestRouterRelaysOracleUnavailableWithoutFailover(t *testing.T) {
 	}
 	if byName[owners[1].Name].hits.Load() != 0 {
 		t.Fatal("router failed over an oracle_unavailable answer")
+	}
+}
+
+// TestRouterFailoverTaxonomy is the router's whole failover ladder in one
+// table: node-death symptoms (a transport error, 503/draining, a bare
+// 502 or 504 with no API code) move to the replica; every answer the node
+// meant (503/overloaded backpressure, 502/oracle_unavailable, 404, 400)
+// is relayed without touching the replica.
+func TestRouterFailoverTaxonomy(t *testing.T) {
+	cases := []struct {
+		mode     string
+		failover bool
+		status   int    // relayed status when !failover
+		code     string // relayed API code when !failover
+	}{
+		{mode: "dead", failover: true},
+		{mode: "draining", failover: true},
+		{mode: "bare502", failover: true},
+		{mode: "timeout504", failover: true},
+		{mode: "overloaded", status: http.StatusServiceUnavailable, code: api.CodeOverloaded},
+		{mode: "badgateway", status: http.StatusBadGateway, code: api.CodeOracleUnavailable},
+		{mode: "notfound", status: http.StatusNotFound, code: api.CodeNotFound},
+		{mode: "badrequest", status: http.StatusBadRequest, code: api.CodeBadRequest},
+	}
+	for _, c := range cases {
+		t.Run(c.mode, func(t *testing.T) {
+			a, b := newFakeNode(t, "a"), newFakeNode(t, "b")
+			srv, topo := routerUnderTest(t, a, b)
+			byName := nodeByName(a, b)
+			owners := topo.Owners("tax")
+			primary, replica := byName[owners[0].Name], byName[owners[1].Name]
+			primary.mode.Store(c.mode)
+
+			resp, body := postJSON(t, srv.URL+"/v1/sessions/tax/dist", `{"i":0,"j":1}`)
+			if c.failover {
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("failover answered %d: %s", resp.StatusCode, body)
+				}
+				var got map[string]string
+				json.Unmarshal([]byte(body), &got)
+				if got["node"] != replica.name {
+					t.Fatalf("served by %q, want replica %q", got["node"], replica.name)
+				}
+				return
+			}
+			if resp.StatusCode != c.status {
+				t.Fatalf("status %d, want %d: %s", resp.StatusCode, c.status, body)
+			}
+			var eb api.ErrorBody
+			json.Unmarshal([]byte(body), &eb)
+			if eb.Code != c.code {
+				t.Fatalf("code %q, want %q", eb.Code, c.code)
+			}
+			if n := replica.hits.Load(); n != 0 {
+				t.Fatalf("router tried the replica %d times for a relayed answer", n)
+			}
+		})
 	}
 }
 

@@ -27,7 +27,7 @@ type Node struct {
 // owners).
 type Config struct {
 	// Self is the local node's name; empty for participants that are not
-	// members (the router, the smart client).
+	// members (the router).
 	Self string
 	// Nodes is the full member list.
 	Nodes []Node

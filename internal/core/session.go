@@ -179,12 +179,6 @@ func WithMaxDistance(d float64) Option {
 	return func(s *Session) { s.maxDist = d }
 }
 
-// WithComparator installs a direct comparator (DFT) that is consulted when
-// interval bounds are inconclusive.
-func WithComparator(c bounds.Comparator) Option {
-	return func(s *Session) { s.cmp = c }
-}
-
 // WithContext bounds every oracle round-trip of the session with ctx: a
 // cancelled or expired ctx makes further resolutions fail with the
 // context's error (wrapped in ErrOracleUnavailable). The default is
@@ -357,7 +351,7 @@ func NewFallibleSessionWithLandmarks(fo metric.FallibleOracle, scheme Scheme, la
 	for _, o := range opts {
 		o(s)
 	}
-	if err := s.slack.validate(scheme, s.cmp != nil); err != nil {
+	if err := s.slack.validate(scheme); err != nil {
 		panic(err)
 	}
 	if s.slack.Auto && s.auditor == nil {
@@ -385,9 +379,7 @@ func NewFallibleSessionWithLandmarks(fo metric.FallibleOracle, scheme Scheme, la
 	case SchemeDFT:
 		dft := bounds.NewDFT(n, s.maxDist)
 		s.b = dft
-		if s.cmp == nil {
-			s.cmp = dft
-		}
+		s.cmp = dft
 	case SchemeHybrid:
 		// Both sides read the shared session graph; escalate when the
 		// triangle interval is wider than 10% of the distance cap.

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"metricprox/internal/bounds"
 	"metricprox/internal/datasets"
 	"metricprox/internal/metric"
 )
@@ -302,12 +301,10 @@ func TestSharedSessionInPackage(t *testing.T) {
 	}
 }
 
-func TestSessionAccessorsAndComparatorOption(t *testing.T) {
+func TestSessionAccessors(t *testing.T) {
 	m := datasets.RandomMetric(6, 23)
 	o := metric.NewOracle(m)
-	// Install DFT explicitly as a comparator over a Tri session.
-	dft := bounds.NewDFT(6, 1)
-	s := NewSession(o, SchemeTri, WithComparator(dft))
+	s := NewSession(o, SchemeTri)
 	if s.Graph() == nil || s.Bounder() == nil {
 		t.Fatal("accessors returned nil")
 	}

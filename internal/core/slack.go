@@ -78,11 +78,11 @@ func (p SlackPolicy) Relax(lb, ub, eps, maxDist float64) (float64, float64) {
 
 // WithSlack declares the oracle a near-metric and activates ε-slack mode;
 // see SlackPolicy for the contract and the scheme restrictions. It panics
-// on an out-of-range policy, and the constructor on a scheme or
-// comparator that cannot support it.
+// on an out-of-range policy, and the constructor on a scheme that cannot
+// support it.
 func WithSlack(p SlackPolicy) Option {
 	// SchemeNoop supports every policy, so only the range rules apply.
-	if err := p.validate(SchemeNoop, false); err != nil {
+	if err := p.validate(SchemeNoop); err != nil {
 		panic(err)
 	}
 	return func(s *Session) { s.slack = p }
@@ -193,14 +193,15 @@ func (s *Session) auditTriangles(i, j int, d float64) {
 // transport layers (internal/service) and CLIs that must map a bad
 // combination onto a 4xx response or a usage error rather than crash.
 func SlackSupported(p SlackPolicy, scheme Scheme) error {
-	return p.validate(scheme, false)
+	return p.validate(scheme)
 }
 
 // validate is the one statement of the slack rules: Additive must be ≥ 0
 // and finite and Ratio 0 (none) or ≥ 1 and finite; additive slack needs a
-// scheme whose intervals chain a single triangle per derivation and no
-// direct comparator; ratio slack needs SchemeNoop or SchemeTri.
-func (p SlackPolicy) validate(scheme Scheme, comparator bool) error {
+// scheme whose intervals chain a single triangle per derivation (which
+// rules out DFT, the one scheme with a direct comparator); ratio slack
+// needs SchemeNoop or SchemeTri.
+func (p SlackPolicy) validate(scheme Scheme) error {
 	if p.Additive < 0 || math.IsNaN(p.Additive) || math.IsInf(p.Additive, 0) {
 		return fmt.Errorf("core: SlackPolicy.Additive must be ≥ 0 and finite, got %v", p.Additive)
 	}
@@ -212,9 +213,6 @@ func (p SlackPolicy) validate(scheme Scheme, comparator bool) error {
 		case SchemeNoop, SchemeTri, SchemeLAESA, SchemeTLAESA:
 		default:
 			return fmt.Errorf("core: scheme %v does not support additive slack: its bounds chain more than one triangle per derivation, so a per-triangle margin ε does not bound the interval error", scheme)
-		}
-		if comparator {
-			return fmt.Errorf("core: direct comparators do not support additive slack (their proofs assume a true metric)")
 		}
 	}
 	if p.Ratio > 1 && scheme != SchemeNoop && scheme != SchemeTri {
@@ -264,7 +262,7 @@ func ParseSlackSpec(spec string) (SlackPolicy, error) {
 			return SlackPolicy{}, fmt.Errorf("core: unknown key %q in slack spec %q (known: eps, ratio; or auto)", key, spec)
 		}
 	}
-	if err := p.validate(SchemeNoop, false); err != nil {
+	if err := p.validate(SchemeNoop); err != nil {
 		return SlackPolicy{}, err
 	}
 	if !p.Active() {

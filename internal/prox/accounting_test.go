@@ -40,7 +40,7 @@ func TestStatsMatchOracleCalls(t *testing.T) {
 		sh := core.Share(core.NewSession(o, core.SchemeTri))
 		sh.Bootstrap(core.PickLandmarks(sh.N(), 6, 7))
 		KNNGraphParallel(sh, 4, 4)
-		PAMParallel(sh, 5, 7, 4)
+		PAM(sh, 5, 7)
 
 		got, want := sh.Stats().OracleCalls, o.Calls()
 		if got != want {

@@ -191,9 +191,9 @@ func TestChaosParallelOutputPreservation(t *testing.T) {
 		}
 
 		s3, _, _ := chaosSession(m, scheme, seed)
-		pam := PAMParallel(core.Share(s3), 4, 99, workers)
+		pam := PAM(core.Share(s3), 4, 99)
 		if !reflect.DeepEqual(clean.pam, pam) {
-			t.Errorf("scheme %v: parallel PAM diverged under faults", scheme)
+			t.Errorf("scheme %v: shared-session PAM diverged under faults", scheme)
 		}
 
 		for _, sess := range []*core.Session{s, s2, s3} {

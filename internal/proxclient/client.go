@@ -54,17 +54,6 @@ func (e *APIError) retryable() bool {
 	return e.Code == api.CodeOverloaded || e.Code == api.CodeDraining
 }
 
-// Caller is the transport a Session rides on: a single-node Client or a
-// cluster-aware ClusterClient. Sessions are written against this
-// interface so the same mirror/builder code runs unmodified over either.
-type Caller interface {
-	// Requests returns the number of HTTP requests sent so far — the
-	// round-trip count the batching experiment measures.
-	Requests() int64
-
-	do(ctx context.Context, method, path string, in, out any) error
-}
-
 // Options configures a Client.
 type Options struct {
 	// Policy is the retry/backoff/breaker policy for transport errors;

@@ -170,33 +170,17 @@ func TestAlgorithmsOverClientSessionBitIdentical(t *testing.T) {
 	}
 }
 
-// TestRemoteRunnersBitIdentical checks the whole-problem endpoints through
-// the client wrappers.
+// TestRemoteRunnersBitIdentical checks the whole-problem /knn endpoint
+// through its client wrapper.
 func TestRemoteRunnersBitIdentical(t *testing.T) {
 	c, _ := newDaemon(t, service.Config{})
-	ctx := context.Background()
 
-	ref := referenceSession(t)
-	wantKNN := prox.KNNGraph(ref, 3)
-	wantMST := prox.PrimMST(ref)
-	wantPAM := prox.PAM(referenceSession(t), 4, 7)
-
-	sess := remoteSession(t, c, "runner")
-	gotKNN, err := sess.RemoteKNN(ctx, 3)
+	want := prox.KNNGraph(referenceSession(t), 3)
+	got, err := remoteSession(t, c, "runner").RemoteKNN(context.Background(), 3)
 	if err != nil {
 		t.Fatalf("RemoteKNN: %v", err)
 	}
-	sameGraph(t, gotKNN, wantKNN, "remote knn")
-	gotMST, err := sess.RemoteMST(ctx)
-	if err != nil {
-		t.Fatalf("RemoteMST: %v", err)
-	}
-	sameMST(t, gotMST, wantMST, "remote mst")
-	gotPAM, err := remoteSession(t, c, "runner-pam").RemoteMedoid(ctx, 4, 7)
-	if err != nil {
-		t.Fatalf("RemoteMedoid: %v", err)
-	}
-	sameClustering(t, gotPAM, wantPAM, "remote pam")
+	sameGraph(t, got, want, "remote knn")
 }
 
 // TestClientRunsSurviveSeededFaults drives the client through a daemon

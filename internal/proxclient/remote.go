@@ -4,7 +4,6 @@ import (
 	"context"
 	"net/http"
 
-	"metricprox/internal/pgraph"
 	"metricprox/internal/prox"
 	"metricprox/internal/service/api"
 )
@@ -79,34 +78,4 @@ func (s *Session) RemoteSearch(ctx context.Context, q, k int, p SearchParams) (n
 		s.noteDist(q, wn.ID, d)
 	}
 	return ns, resp.Built, nil
-}
-
-// RemoteMST runs Prim's MST server-side and returns it in prox's shape.
-func (s *Session) RemoteMST(ctx context.Context) (prox.MST, error) {
-	var resp api.MSTResponse
-	err := s.c.do(ctx, http.MethodPost, s.path("mst"), nil, &resp)
-	if err != nil {
-		return prox.MST{}, err
-	}
-	edges := make([]pgraph.Edge, len(resp.Edges))
-	for x, we := range resp.Edges {
-		edges[x] = pgraph.Edge{U: we.U, V: we.V, W: float64(we.W)}
-	}
-	return prox.MST{Edges: edges, Weight: float64(resp.Weight)}, nil
-}
-
-// RemoteMedoid runs PAM clustering server-side and returns it in prox's
-// shape.
-func (s *Session) RemoteMedoid(ctx context.Context, l int, seed int64) (prox.Clustering, error) {
-	var resp api.MedoidResponse
-	err := s.c.do(ctx, http.MethodPost, s.path("medoid"),
-		api.MedoidRequest{L: l, Seed: seed}, &resp)
-	if err != nil {
-		return prox.Clustering{}, err
-	}
-	return prox.Clustering{
-		Medoids: resp.Medoids,
-		Assign:  resp.Assign,
-		Cost:    float64(resp.Cost),
-	}, nil
 }

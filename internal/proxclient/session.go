@@ -60,7 +60,7 @@ type SessionOptions struct {
 // The mutex guards only the mirror maps and is never held across an HTTP
 // round-trip.
 type Session struct {
-	c    Caller
+	c    *Client
 	name string
 	n    int
 	max  float64
@@ -79,7 +79,7 @@ type Session struct {
 
 // CreateSession creates (or attaches to) the named session on the daemon
 // and returns the client-side view of it.
-func CreateSession(ctx context.Context, c Caller, name, scheme string, opts SessionOptions) (*Session, error) {
+func CreateSession(ctx context.Context, c *Client, name, scheme string, opts SessionOptions) (*Session, error) {
 	req := api.CreateSessionRequest{
 		Name:       name,
 		Scheme:     scheme,
@@ -112,9 +112,6 @@ func CreateSession(ctx context.Context, c Caller, name, scheme string, opts Sess
 
 // Name returns the session's registry name on the daemon.
 func (s *Session) Name() string { return s.name }
-
-// Client returns the transport the session rides on.
-func (s *Session) Client() Caller { return s.c }
 
 // pairKey normalises (i, j) to i < j and packs it into one map key.
 func pairKey(i, j int) uint64 {

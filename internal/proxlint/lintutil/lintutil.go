@@ -170,11 +170,6 @@ func isCoreSessionMethod(f *types.Func) bool {
 	return !ok || n.Obj().Name() != "Interval"
 }
 
-// InMetricPackage reports whether the path names the oracle layer.
-func InMetricPackage(path string) bool {
-	return path == "metricprox/internal/metric" || strings.HasSuffix(path, "internal/metric")
-}
-
 // InPgraphPackage reports whether the path names the proximity-graph
 // store (internal/pgraph), matching both the real module path and
 // testdata fakes.

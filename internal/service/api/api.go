@@ -361,41 +361,6 @@ type SearchResponse struct {
 	Built bool `json:"built"`
 }
 
-// WireEdge is one MST edge with U < V.
-type WireEdge struct {
-	// U and V are the endpoint object indices, U < V.
-	U int `json:"u"`
-	V int `json:"v"`
-	// W is the exact edge weight.
-	W WireFloat `json:"w"`
-}
-
-// MSTResponse is the server-side Prim MST result.
-type MSTResponse struct {
-	// Edges are the n−1 tree edges in discovery order.
-	Edges []WireEdge `json:"edges"`
-	// Weight is the summed edge weight.
-	Weight WireFloat `json:"weight"`
-}
-
-// MedoidRequest runs the server-side PAM clustering.
-type MedoidRequest struct {
-	// L is the number of medoids.
-	L int `json:"l"`
-	// Seed drives the random initialisation.
-	Seed int64 `json:"seed"`
-}
-
-// MedoidResponse is the server-side PAM result.
-type MedoidResponse struct {
-	// Medoids are the chosen medoid object indices.
-	Medoids []int `json:"medoids"`
-	// Assign maps each object to an index into Medoids.
-	Assign []int `json:"assign"`
-	// Cost is the summed point-to-medoid distance.
-	Cost WireFloat `json:"cost"`
-}
-
 // StatsResponse mirrors core.Stats for one session.
 type StatsResponse struct {
 	// OracleCalls — see core.Stats.

@@ -518,36 +518,3 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request, entry *core.S
 	}
 	writeJSON(w, api.KNNResponse{Rows: rows})
 }
-
-// handleMST runs Prim's MST server-side; same OracleErr gate as handleKNN.
-func (s *Server) handleMST(w http.ResponseWriter, r *http.Request, entry *core.SessionEntry) {
-	m := prox.PrimMST(entry.Session)
-	if err := entry.Session.OracleErr(); err != nil {
-		oracleFailure(w, err)
-		return
-	}
-	edges := make([]api.WireEdge, len(m.Edges))
-	for i, e := range m.Edges {
-		edges[i] = api.WireEdge{U: e.U, V: e.V, W: api.WireFloat(e.W)}
-	}
-	writeJSON(w, api.MSTResponse{Edges: edges, Weight: api.WireFloat(m.Weight)})
-}
-
-// handleMedoid runs PAM server-side; same OracleErr gate as handleKNN.
-func (s *Server) handleMedoid(w http.ResponseWriter, r *http.Request, entry *core.SessionEntry) {
-	var req api.MedoidRequest
-	if err := decode(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, err.Error())
-		return
-	}
-	if req.L < 1 {
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, fmt.Sprintf("l=%d, want >= 1", req.L))
-		return
-	}
-	c := prox.PAM(entry.Session, req.L, req.Seed)
-	if err := entry.Session.OracleErr(); err != nil {
-		oracleFailure(w, err)
-		return
-	}
-	writeJSON(w, api.MedoidResponse{Medoids: c.Medoids, Assign: c.Assign, Cost: api.WireFloat(c.Cost)})
-}

@@ -239,8 +239,6 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("POST /v1/sessions/{name}/knn", work("knn", s.handleKNN))
 	s.mux.HandleFunc("GET /v1/sessions/{name}/search", work("search", s.handleSearch))
 	s.mux.HandleFunc("POST /v1/sessions/{name}/search", work("search", s.handleSearch))
-	s.mux.HandleFunc("POST /v1/sessions/{name}/mst", work("mst", s.handleMST))
-	s.mux.HandleFunc("POST /v1/sessions/{name}/medoid", work("medoid", s.handleMedoid))
 	// Cluster replication: node-to-node, not client-facing. Mounted
 	// unconditionally; the handlers refuse with 400 outside cluster mode.
 	s.mux.HandleFunc("POST /v1/repl/{name}", s.instrument("repl", s.handleReplAppend))

@@ -113,8 +113,6 @@ func TestServerSideRunsMatchInProcess(t *testing.T) {
 
 	ref := referenceSession(t, core.SchemeTri)
 	wantKNN := prox.KNNGraph(ref, 3)
-	wantMST := prox.PrimMST(ref)
-	wantPAM := prox.PAM(referenceSession(t, core.SchemeTri), 4, 7)
 
 	var knn api.KNNResponse
 	post(t, base+"/knn", api.KNNRequest{K: 3}, &knn, http.StatusOK)
@@ -131,29 +129,6 @@ func TestServerSideRunsMatchInProcess(t *testing.T) {
 					u, i, nb.ID, float64(nb.D), wantKNN[u][i].ID, wantKNN[u][i].Dist)
 			}
 		}
-	}
-
-	var mst api.MSTResponse
-	post(t, base+"/mst", nil, &mst, http.StatusOK)
-	if !fcmp.ExactEq(float64(mst.Weight), wantMST.Weight) || len(mst.Edges) != len(wantMST.Edges) {
-		t.Fatalf("mst weight %v / %d edges, want %v / %d",
-			float64(mst.Weight), len(mst.Edges), wantMST.Weight, len(wantMST.Edges))
-	}
-	for i, e := range mst.Edges {
-		w := wantMST.Edges[i]
-		if e.U != w.U || e.V != w.V || !fcmp.ExactEq(float64(e.W), w.W) {
-			t.Fatalf("mst edge %d: got (%d,%d,%v), want (%d,%d,%v)", i, e.U, e.V, float64(e.W), w.U, w.V, w.W)
-		}
-	}
-
-	// PAM mutates bound state heavily; run it on a fresh session so the
-	// reference and remote start from the same (bootstrapped-only) state.
-	createSession(t, ts.URL, "equiv-pam", "tri", true)
-	var med api.MedoidResponse
-	post(t, ts.URL+"/v1/sessions/equiv-pam/medoid", api.MedoidRequest{L: 4, Seed: 7}, &med, http.StatusOK)
-	if !reflect.DeepEqual(med.Medoids, wantPAM.Medoids) || !reflect.DeepEqual(med.Assign, wantPAM.Assign) ||
-		!fcmp.ExactEq(float64(med.Cost), wantPAM.Cost) {
-		t.Fatalf("medoid: got %v/%v, want %v/%v", med.Medoids, float64(med.Cost), wantPAM.Medoids, wantPAM.Cost)
 	}
 }
 
@@ -534,10 +509,10 @@ func TestBatchBoundsRunMatchesScalar(t *testing.T) {
 	for q := 0; q < 40; q++ {
 		ops = append(ops, api.BatchOp{Op: api.OpBounds, I: rng.Intn(testN), J: rng.Intn(testN)})
 	}
-	ops[7] = api.BatchOp{Op: api.OpBounds, I: 7, J: 7}       // self pair: rejected
-	ops[13] = api.BatchOp{Op: api.OpBounds, I: -1, J: 3}     // out of range: rejected
-	ops[20] = api.BatchOp{Op: api.OpDist, I: 20, J: 21}      // splits the run
-	ops = append(ops, ops[0])                                // duplicate of the first query
+	ops[7] = api.BatchOp{Op: api.OpBounds, I: 7, J: 7}   // self pair: rejected
+	ops[13] = api.BatchOp{Op: api.OpBounds, I: -1, J: 3} // out of range: rejected
+	ops[20] = api.BatchOp{Op: api.OpDist, I: 20, J: 21}  // splits the run
+	ops = append(ops, ops[0])                            // duplicate of the first query
 
 	var resp api.BatchResponse
 	post(t, ts.URL+"/v1/sessions/boundsrun/batch", api.BatchRequest{Ops: ops}, &resp, http.StatusOK)
