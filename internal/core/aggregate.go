@@ -5,62 +5,17 @@ import "metricprox/internal/fcmp"
 // Pair identifies one distance term of an aggregate comparison.
 type Pair struct{ A, B int }
 
-// SumLessThan reports whether Σ dist(p.A, p.B) over pairs is strictly less
-// than c — the "distance aggregates" form of the paper's Contribution 1
-// (IF statements that compare sums of distances, as in 2-opt moves,
-// clustering cost deltas, or tour comparisons).
-//
-// Interval bounds compose additively: if the upper bounds already sum
-// below c the answer is certainly true; if the lower bounds reach c it is
-// certainly false. Only when the aggregate interval straddles c are the
-// unresolved terms resolved — largest bound-gap first, re-checking after
-// each resolution, so the oracle is consulted as few times as possible.
-func (s *Session) SumLessThan(pairs []Pair, c float64) bool {
-	lbSum, ubSum := 0.0, 0.0
-	type term struct {
-		p      Pair
-		lb, ub float64
-	}
-	var open []term
-	for _, p := range pairs {
-		lb, ub := s.Bounds(p.A, p.B)
-		lbSum += lb
-		ubSum += ub
-		if !fcmp.ExactEq(lb, ub) {
-			open = append(open, term{p: p, lb: lb, ub: ub})
-		}
-	}
-	for {
-		if r, settled, _ := (Interval{lbSum, ubSum}).LessThan(c); settled {
-			s.settled(false)
-			return r
-		}
-		if len(open) == 0 {
-			// Fully resolved and still straddling: impossible (lb==ub for
-			// every term means lbSum == ubSum), but guard for float edge
-			// cases where lbSum < c ≤ ubSum within rounding.
-			return lbSum < c
-		}
-		// Resolve the loosest term: it moves the aggregate interval most.
-		widest, gap := 0, -1.0
-		for i, t := range open {
-			if g := t.ub - t.lb; g > gap {
-				widest, gap = i, g
-			}
-		}
-		t := open[widest]
-		open[widest] = open[len(open)-1]
-		open = open[:len(open)-1]
-		s.ins.ResolvedComparisons.Inc()
-		d := s.Dist(t.p.A, t.p.B)
-		lbSum += d - t.lb
-		ubSum += d - t.ub
-	}
-}
-
 // SumLess reports whether Σ dist over left is strictly less than Σ dist
-// over right, with the same bound-first, loosest-term-next resolution
-// strategy applied to both sides jointly.
+// over right — the "distance aggregates" form of the paper's
+// Contribution 1 (IF statements that compare sums of distances, as in
+// 2-opt moves, clustering cost deltas, or tour comparisons).
+//
+// Interval bounds compose additively, so the difference Σleft − Σright
+// has an interval too: if it lies wholly below 0 the answer is certainly
+// true, if wholly at or above 0 certainly false. Only while it straddles
+// 0 are unresolved terms resolved — largest bound-gap first, re-checking
+// after each resolution, so the oracle is consulted as few times as
+// possible.
 func (s *Session) SumLess(left, right []Pair) bool {
 	type term struct {
 		p      Pair

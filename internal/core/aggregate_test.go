@@ -27,23 +27,6 @@ func sumDist(m metric.Space, ps []Pair) float64 {
 	return s
 }
 
-func TestSumLessThanExact(t *testing.T) {
-	for _, sc := range []Scheme{SchemeNoop, SchemeTri, SchemeSPLUB} {
-		m := datasets.RandomMetric(20, 61)
-		o := metric.NewOracle(m)
-		s := NewSession(o, sc)
-		rng := rand.New(rand.NewSource(62))
-		for trial := 0; trial < 150; trial++ {
-			ps := randPairs(rng, 20, 1+rng.Intn(4))
-			c := rng.Float64() * float64(len(ps))
-			want := sumDist(m, ps) < c
-			if got := s.SumLessThan(ps, c); got != want {
-				t.Fatalf("scheme %v trial %d: SumLessThan = %v, want %v", sc, trial, got, want)
-			}
-		}
-	}
-}
-
 func TestSumLessExact(t *testing.T) {
 	for _, sc := range []Scheme{SchemeNoop, SchemeTri} {
 		m := datasets.RandomMetric(18, 63)
@@ -61,24 +44,6 @@ func TestSumLessExact(t *testing.T) {
 	}
 }
 
-func TestSumLessThanSavesCalls(t *testing.T) {
-	m := datasets.SFPOI(60, 65)
-	run := func(sc Scheme) int64 {
-		o := metric.NewOracle(m)
-		s := NewSession(o, sc)
-		s.Bootstrap(PickLandmarks(60, 6, 66))
-		rng := rand.New(rand.NewSource(67))
-		for trial := 0; trial < 400; trial++ {
-			ps := randPairs(rng, 60, 3)
-			s.SumLessThan(ps, rng.Float64()*3)
-		}
-		return o.Calls()
-	}
-	if tri, noop := run(SchemeTri), run(SchemeNoop); tri >= noop {
-		t.Fatalf("aggregate comparisons saved nothing: tri %d, noop %d", tri, noop)
-	}
-}
-
 func TestSumLessEmptySides(t *testing.T) {
 	m := datasets.RandomMetric(5, 68)
 	s := NewSession(metric.NewOracle(m), SchemeTri)
@@ -87,11 +52,5 @@ func TestSumLessEmptySides(t *testing.T) {
 	}
 	if !s.SumLess(nil, []Pair{{0, 1}}) {
 		t.Fatal("0 < positive sum reported false")
-	}
-	if s.SumLessThan(nil, 0) {
-		t.Fatal("0 < 0 threshold reported true")
-	}
-	if !s.SumLessThan(nil, 0.1) {
-		t.Fatal("0 < 0.1 reported false")
 	}
 }

@@ -59,15 +59,19 @@ func ExampleSession_Bounds() {
 	// d(0,3) ∈ [0.3, 0.7]
 }
 
-// ExampleSession_SumLessThan shows an aggregate comparison: the sum of two
-// unresolved distances tested against a budget.
-func ExampleSession_SumLessThan() {
-	s := core.NewSession(exampleOracle(), core.SchemeTri)
+// ExampleSession_SumLess shows an aggregate comparison: is the direct
+// leg 0→2 shorter than the route 0→1→2→3? The triangle through 1 caps
+// d(0,2) at 0.6, below the resolved route's 0.8, so the sums compare
+// without an oracle call.
+func ExampleSession_SumLess() {
+	oracle := exampleOracle()
+	s := core.NewSession(oracle, core.SchemeTri)
 	s.Dist(0, 1)
 	s.Dist(1, 2)
 	s.Dist(2, 3)
-	ok := s.SumLessThan([]core.Pair{{A: 0, B: 2}, {A: 2, B: 4}}, 1.5)
-	fmt.Println("within budget:", ok)
+	before := oracle.Calls()
+	shorter := s.SumLess([]core.Pair{{A: 0, B: 2}}, []core.Pair{{A: 0, B: 1}, {A: 1, B: 2}, {A: 2, B: 3}})
+	fmt.Println("shorter:", shorter, "oracle calls:", oracle.Calls()-before)
 	// Output:
-	// within budget: true
+	// shorter: true oracle calls: 0
 }

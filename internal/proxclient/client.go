@@ -164,7 +164,13 @@ func (c *Client) backoff(attempt int) time.Duration {
 func (c *Client) once(ctx context.Context, method, path string, in, out any) error {
 	var body io.Reader
 	if in != nil {
-		buf, err := json.Marshal(in)
+		var buf []byte
+		var err error
+		if br, ok := in.(api.BatchRequest); ok {
+			buf, err = api.AppendBatchRequest(nil, &br)
+		} else {
+			buf, err = json.Marshal(in)
+		}
 		if err != nil {
 			return fmt.Errorf("proxclient: encode request: %w", err)
 		}
@@ -206,7 +212,12 @@ func (c *Client) once(ctx context.Context, method, path string, in, out any) err
 		return apiErr
 	}
 	if out != nil {
-		if err := json.Unmarshal(data, out); err != nil {
+		if br, ok := out.(*api.BatchResponse); ok {
+			err = api.UnmarshalBatchResponse(data, br)
+		} else {
+			err = json.Unmarshal(data, out)
+		}
+		if err != nil {
 			return fmt.Errorf("proxclient: decode response: %w", err)
 		}
 	}

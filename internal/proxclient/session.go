@@ -70,8 +70,8 @@ type Session struct {
 
 	mu        sync.Mutex
 	known     map[uint64]float64
-	lb, ub    map[uint64]float64
-	eps       float64 // high-water slack ε observed in server responses
+	bounds    map[uint64]core.Interval // cached intervals of unresolved pairs
+	eps       float64                  // high-water slack ε observed in server responses
 	oracleErr error
 
 	deg core.Degrader
@@ -103,8 +103,7 @@ func CreateSession(ctx context.Context, c *Client, name, scheme string, opts Ses
 		noCache:    opts.NoCache,
 		noPrefetch: opts.NoPrefetch,
 		known:      make(map[uint64]float64),
-		lb:         make(map[uint64]float64),
-		ub:         make(map[uint64]float64),
+		bounds:     make(map[uint64]core.Interval),
 	}
 	s.deg = core.NewDegrader(s.localBounds, s.latch)
 	return s, nil
@@ -149,11 +148,13 @@ func (s *Session) localLocked(key uint64) (core.Interval, bool) {
 		return core.Interval{LB: d, UB: d}, true
 	}
 	iv := core.Interval{LB: 0, UB: s.max}
-	if v, ok := s.lb[key]; ok && v > iv.LB {
-		iv.LB = v
-	}
-	if v, ok := s.ub[key]; ok && v < iv.UB {
-		iv.UB = v
+	if c, ok := s.bounds[key]; ok {
+		if c.LB > iv.LB {
+			iv.LB = c.LB
+		}
+		if c.UB < iv.UB {
+			iv.UB = c.UB
+		}
 	}
 	return iv, false
 }
@@ -172,8 +173,7 @@ func (s *Session) noteDist(i, j int, d float64) {
 	s.mu.Lock()
 	key := pairKey(i, j)
 	s.known[key] = d
-	delete(s.lb, key)
-	delete(s.ub, key)
+	delete(s.bounds, key)
 	s.mu.Unlock()
 }
 
@@ -186,8 +186,11 @@ func (s *Session) noteLowerBound(i, j int, c float64) {
 	s.mu.Lock()
 	key := pairKey(i, j)
 	if _, ok := s.known[key]; !ok {
-		if v, ok := s.lb[key]; !ok || c > v {
-			s.lb[key] = c
+		if iv, ok := s.bounds[key]; !ok {
+			s.bounds[key] = core.Interval{LB: c, UB: s.max}
+		} else if c > iv.LB {
+			iv.LB = c
+			s.bounds[key] = iv
 		}
 	}
 	s.mu.Unlock()
@@ -215,14 +218,12 @@ func (s *Session) noteBounds(i, j int, lb, ub, eps float64) {
 	}
 	s.mu.Lock()
 	if eps > s.eps {
-		s.lb = make(map[uint64]float64)
-		s.ub = make(map[uint64]float64)
+		s.bounds = make(map[uint64]core.Interval)
 		s.eps = eps
 	}
 	key := pairKey(i, j)
 	if _, ok := s.known[key]; !ok {
-		s.lb[key] = lb
-		s.ub[key] = ub
+		s.bounds[key] = core.Interval{LB: lb, UB: ub}
 	}
 	s.mu.Unlock()
 }
@@ -267,11 +268,10 @@ func (s *Session) Bounds(i, j int) (lb, ub float64) {
 	if !s.noCache {
 		s.mu.Lock()
 		key := pairKey(i, j)
-		_, haveLB := s.lb[key]
-		_, haveUB := s.ub[key]
+		_, cached := s.bounds[key]
 		iv, known := s.localLocked(key)
 		s.mu.Unlock()
-		if known || haveLB || haveUB {
+		if known || cached {
 			return iv.LB, iv.UB
 		}
 	}

@@ -228,7 +228,6 @@ var coreOracleEntrypoints = map[string]bool{
 	"Less":            true,
 	"LessThan":        true,
 	"DistIfLess":      true,
-	"SumLessThan":     true,
 	"SumLess":         true,
 	"Bootstrap":       true,
 	"GreedyLandmarks": true,

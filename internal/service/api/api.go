@@ -63,21 +63,29 @@ type ErrorBody struct {
 type WireFloat float64
 
 // MarshalJSON encodes ±Inf as quoted strings and finite values as plain
-// JSON numbers.
+// JSON numbers, formatted as encoding/json formats a float64.
 func (w WireFloat) MarshalJSON() ([]byte, error) {
-	f := float64(w)
-	switch {
-	case math.IsInf(f, 1):
-		return []byte(`"+Inf"`), nil
-	case math.IsInf(f, -1):
-		return []byte(`"-Inf"`), nil
-	default:
-		return json.Marshal(f)
+	b, ok := appendWireFloat(make([]byte, 0, 24), float64(w))
+	if !ok {
+		return json.Marshal(float64(w)) // NaN: encoding/json's error
 	}
+	return b, nil
 }
 
-// UnmarshalJSON accepts plain numbers plus the "+Inf"/"-Inf" strings.
+// UnmarshalJSON accepts plain numbers plus the "+Inf"/"-Inf" strings (and
+// "Inf"); null is a no-op, as encoding/json treats it for a float64. The
+// accept set is encoding/json's for a float64 plus those strings: a
+// number in float64 range or a bare Inf string decodes directly, and
+// anything else takes encoding/json's path for its value or its error.
 func (w *WireFloat) UnmarshalJSON(b []byte) error {
+	c := cursor{b: b}
+	if f, ok := c.wireFloat(); ok && c.i == len(b) {
+		*w = f
+		return nil
+	}
+	if string(b) == "null" {
+		return nil
+	}
 	if len(b) > 0 && b[0] == '"' {
 		var s string
 		if err := json.Unmarshal(b, &s); err != nil {

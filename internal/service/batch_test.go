@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"sync"
 	"testing"
@@ -124,5 +125,83 @@ func TestBatchDistRunsRaceScalarsPayEachPairOnce(t *testing.T) {
 	}
 	if st.OracleCalls != int64(len(pairs)) {
 		t.Fatalf("session counted %d oracle calls, oracle paid %d", st.OracleCalls, len(pairs))
+	}
+}
+
+// TestBatchAcceptsAnyValidJSON: the batch codec's fast path reads only
+// the canonical form encoding/json writes. A body with whitespace and
+// reordered keys must be answered with the same bytes as the canonical
+// body, and an unknown field must still be refused with 400 bad_request
+// and encoding/json's message.
+func TestBatchAcceptsAnyValidJSON(t *testing.T) {
+	_, ts, _ := newTestServer(t, Config{})
+	createSession(t, ts.URL, "anyjson", "tri", true)
+	url := ts.URL + "/v1/sessions/anyjson/batch"
+
+	ops := []api.BatchOp{
+		{Op: api.OpBounds, I: 3, J: 40},
+		{Op: api.OpDist, I: 5, J: 17},
+		{Op: api.OpLess, I: 1, J: 2, K: 3, L: 4},
+		{Op: api.OpLessThan, I: 8, J: 9, C: 0.25},
+		{Op: api.OpDistIfLess, I: 10, J: 11, C: api.WireFloat(math.Inf(1))},
+		{Op: api.OpBounds, I: 7, J: 7},
+	}
+	canonical, err := json.Marshal(api.BatchRequest{Ops: ops})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Maps encode with sorted keys, which reorders every op's fields
+	// ("c" and "i" before "op"); MarshalIndent adds whitespace.
+	var reordered []map[string]any
+	for _, op := range ops {
+		m := map[string]any{"op": op.Op, "i": op.I, "j": op.J}
+		if op.K != 0 || op.L != 0 {
+			m["k"], m["l"] = op.K, op.L
+		}
+		if op.C != 0 {
+			m["c"] = op.C
+		}
+		reordered = append(reordered, m)
+	}
+	loose, err := json.MarshalIndent(map[string]any{"ops": reordered}, " ", "\t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	send := func(body []byte) (int, []byte) {
+		t.Helper()
+		resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out bytes.Buffer
+		if _, err := out.ReadFrom(resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, out.Bytes()
+	}
+	send(canonical) // resolve every pair the ops may resolve, so answers are stable
+	code, want := send(canonical)
+	if code != http.StatusOK {
+		t.Fatalf("canonical body: status %d: %s", code, want)
+	}
+	if code, got := send(loose); code != http.StatusOK || !bytes.Equal(got, want) {
+		t.Fatalf("body %s answered %d %s, canonical body answered %s", loose, code, got, want)
+	}
+
+	unknown := []byte(`{"ops":[{"op":"bounds","i":1,"j":2,"x":0}]}`)
+	dec := json.NewDecoder(bytes.NewReader(unknown))
+	dec.DisallowUnknownFields()
+	wantErr := dec.Decode(&api.BatchRequest{})
+	if wantErr == nil {
+		t.Fatal("encoding/json accepted an unknown field")
+	}
+	code, body := send(unknown)
+	var eb api.ErrorBody
+	if err := json.Unmarshal(body, &eb); err != nil {
+		t.Fatalf("error body %s: %v", body, err)
+	}
+	if code != http.StatusBadRequest || eb.Code != api.CodeBadRequest || eb.Message != wantErr.Error() {
+		t.Fatalf("unknown field answered %d %+v, want 400 %s %q", code, eb, api.CodeBadRequest, wantErr)
 	}
 }

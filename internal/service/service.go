@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"path/filepath"
 	"sort"
@@ -325,11 +326,27 @@ func writeError(w http.ResponseWriter, status int, code, msg string) {
 // writeJSON emits a 200 JSON response.
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
+	if br, ok := v.(api.BatchResponse); ok {
+		// The batch codec writes encoding/json's bytes, and on failure
+		// writes nothing, as Encode does.
+		if buf, err := api.AppendBatchResponse(nil, &br); err == nil {
+			_, _ = w.Write(buf)
+		}
+		return
+	}
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// decode parses a JSON request body into v.
+// decode parses a JSON request body into v. A batch request goes through
+// the batch codec, which answers exactly as the decoder below would.
 func decode(r *http.Request, v any) error {
+	if br, ok := v.(*api.BatchRequest); ok {
+		data, err := io.ReadAll(r.Body)
+		if err != nil {
+			return err
+		}
+		return api.DecodeBatchRequest(data, br)
+	}
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	return dec.Decode(v)
